@@ -352,7 +352,9 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
             }
             if (pipeline.acquire) {
               const sim::SimTime gate_start = sim_.Now();
+              if (tier_ != nullptr) tier_->BeginMemoryWait(snapshot_id);
               Status s = co_await pipeline.acquire(dev->id(), chunk);
+              if (tier_ != nullptr) tier_->EndMemoryWait(snapshot_id);
               if (!s.ok()) {
                 failure = s;
                 aborted = true;

@@ -51,8 +51,17 @@ SnapshotTierManager::EntryMap::iterator SnapshotTierManager::PickVictim(
   return best;
 }
 
-sim::Task<Status> SnapshotTierManager::AdmitHostBytes(Bytes dirty,
-                                                     VictimFilter may_evict) {
+bool SnapshotTierManager::CanWaitForSpace(
+    std::optional<SnapshotId> mover) const {
+  if (moves_in_flight_ > (mover.has_value() ? 1 : 0)) return true;
+  for (const auto& [id, e] : entries_) {
+    if (e.pins > 0 && e.memory_waits == 0 && id != mover) return true;
+  }
+  return false;
+}
+
+sim::Task<Status> SnapshotTierManager::AdmitHostBytes(
+    Bytes dirty, VictimFilter may_evict, std::optional<SnapshotId> mover) {
   SWAP_CHECK_MSG(dirty.count() >= 0, "negative admission");
   if (bounded()) {
     if (dirty > options_.host_capacity) {
@@ -69,7 +78,7 @@ sim::Task<Status> SnapshotTierManager::AdmitHostBytes(Bytes dirty,
         }
         continue;  // a dropped-mid-demotion victim freed space anyway
       }
-      if (moves_in_flight_ > 0 || pinned_count() > 0) {
+      if (CanWaitForSpace(mover)) {
         // Everything demotable is pinned or mid-move; block until some
         // placement state changes, then re-evaluate.
         co_await state_changed_.Wait();
@@ -122,6 +131,20 @@ void SnapshotTierManager::Unpin(SnapshotId id) {
   if (it->second.pins > 0) --it->second.pins;
   MaybeErase(it);
   state_changed_.Pulse();
+}
+
+void SnapshotTierManager::BeginMemoryWait(SnapshotId id) {
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  ++it->second.memory_waits;
+  state_changed_.Pulse();  // a waiting admission may have to give up
+}
+
+void SnapshotTierManager::EndMemoryWait(SnapshotId id) {
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  SWAP_CHECK_MSG(it->second.memory_waits > 0, "memory wait out of balance");
+  --it->second.memory_waits;
 }
 
 sim::Task<Status> SnapshotTierManager::Demote(SnapshotId id) {
@@ -217,7 +240,7 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
     }
   }
   {
-    Status admitted = co_await AdmitHostBytes(bytes, std::move(may_evict));
+    Status admitted = co_await AdmitHostBytes(bytes, std::move(may_evict), id);
     if (!admitted.ok()) co_return fail(admitted);
   }
   {

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "ckpt/snapshot_store.h"
@@ -63,7 +64,16 @@ class SnapshotTierManager {
   // in-flight promotion), demoting LRU victims until they fit, and commit
   // the bytes against the capacity ledger. The commitment is settled by
   // OnPut()/promotion completion or returned via CancelAdmission().
-  sim::Task<Status> AdmitHostBytes(Bytes dirty, VictimFilter may_evict = {});
+  //
+  // `mover` is the snapshot whose promotion is admitting (nullopt: no move
+  // of the caller's own is in flight). A full cache waits for moves and
+  // pins that will settle on their own; when none remain the admission
+  // fails with RESOURCE_EXHAUSTED. The mover's own move and pins never
+  // count (they cannot settle while it waits), nor do pins whose restore is
+  // waiting for device memory (BeginMemoryWait).
+  sim::Task<Status> AdmitHostBytes(
+      Bytes dirty, VictimFilter may_evict = {},
+      std::optional<SnapshotId> mover = std::nullopt);
   void CancelAdmission(Bytes dirty);
   // Register a freshly Put snapshot (host-resident) and settle its
   // admission.
@@ -83,6 +93,12 @@ class SnapshotTierManager {
   // codes are retryable.
   sim::Task<Status> EnsureRestorable(SnapshotId id);
   void Unpin(SnapshotId id);
+  // Bracket a pinned restore's wait for device memory (a pipelined chunk
+  // reservation). That memory may come from the very swap-out whose
+  // admission waits for the pin to clear, so while the restore waits, its
+  // pin does not hold admissions back.
+  void BeginMemoryWait(SnapshotId id);
+  void EndMemoryWait(SnapshotId id);
 
   // --- prefetch ----------------------------------------------------------
   // Best-effort background promotion; returns without suspending (the
@@ -134,6 +150,7 @@ class SnapshotTierManager {
     bool dropped = false;  // OnDrop arrived mid-move; mover cleans up
     bool prefetched = false;
     int pins = 0;
+    int memory_waits = 0;  // pinned restores blocked on device memory
     std::uint64_t lru_seq = 0;
     // Set whenever no move is in flight for this snapshot.
     std::unique_ptr<sim::SimEvent> move_done;
@@ -148,6 +165,9 @@ class SnapshotTierManager {
   void FinishMove(SnapshotId id);
   // Least-recently-used demotable host-resident snapshot, or entries_.end().
   EntryMap::iterator PickVictim(const VictimFilter& may_evict);
+
+  // Whether a full cache may wait for space (see AdmitHostBytes).
+  bool CanWaitForSpace(std::optional<SnapshotId> mover) const;
 
   // NVMe->host copy. Assumes the caller saw the snapshot idle on NVMe in
   // the current event; flags are set before the first suspension.

@@ -39,7 +39,10 @@ struct RecoveryConfig {
   // quarantine lasts before a half-open probe.
   int breaker_failure_threshold = 3;
   double breaker_cooldown_s = 10.0;
-  // Supervisor scan cadence; 0 disables the supervisor loop entirely.
+  // Supervisor tick: scans fall on a grid this far apart (the detection
+  // granularity for crashes, hangs and rejuvenation), but the loop only
+  // wakes at ticks where a scan can act, so an idle server costs nothing
+  // per tick. 0 disables the supervisor entirely.
   double health_check_interval_s = 1.0;
   // Declare a backend hung when a request has made no progress for this
   // long (0 = hang detection off).

@@ -1,5 +1,6 @@
 #include "core/engine_supervisor.h"
 
+#include <algorithm>
 #include <string>
 
 #include "util/log.h"
@@ -9,13 +10,48 @@ namespace swapserve::core {
 void EngineSupervisor::Start() {
   SWAP_CHECK_MSG(!running_, "supervisor already running");
   running_ = true;
+  grid_.Restart();
   sim_.Go([this]() -> sim::Task<> {
     while (running_) {
-      co_await sim_.Delay(options_.scan_interval);
+      co_await grid_.SleepUntil(PlanWake());
       if (!running_) break;
       (void)co_await ScanOnce();
+      grid_.Restart();
     }
   });
+}
+
+sim::SimTime EngineSupervisor::NextTick(const Backend& backend) const {
+  const engine::InferenceEngine& engine = *backend.engine;
+  if (engine.state() == engine::BackendState::kCrashed) {
+    // Every tick while crashed, whatever the health state: a quarantined
+    // backend is re-probed when a tick finds its breaker admitting, and a
+    // paused supervisor picks the backend up at the first tick after
+    // Resume().
+    return grid_.TickAtOrAfter(sim_.Now());
+  }
+  if (engine.state() != engine::BackendState::kRunning) {
+    return sim::TickGrid::kNever;
+  }
+  sim::SimTime next = sim::TickGrid::kNever;
+  if (options_.hang_deadline.ns() > 0 && engine.active_requests() > 0) {
+    next = grid_.TickAfter(engine.last_progress() + options_.hang_deadline);
+  }
+  if (options_.rejuvenate_after.ns() > 0) {
+    // Once due, demand or a held lock may block it at any tick; ticking
+    // every interval from here on is what the scan needs.
+    next = std::min(next, grid_.TickAfter(backend.health.last_resident +
+                                          options_.rejuvenate_after));
+  }
+  return next;
+}
+
+sim::SimTime EngineSupervisor::PlanWake() const {
+  sim::SimTime next = sim::TickGrid::kNever;
+  for (const Backend* backend : controller_.backends()) {
+    next = std::min(next, NextTick(*backend));
+  }
+  return next;
 }
 
 sim::Task<int> EngineSupervisor::ScanOnce() {
@@ -95,12 +131,6 @@ sim::Task<Status> EngineSupervisor::Recover(Backend& backend) {
     // Somebody else (e.g. a cold-restore fallback) already revived it.
     backend.health.state = BackendHealth::State::kDegraded;
     co_return Status::Ok();
-  }
-
-  // MarkCrashed() freed the backend's device memory without crediting the
-  // task manager; wake any reservations waiting on those bytes.
-  for (hw::GpuId gpu : backend.GpuIds()) {
-    task_manager_.NotifyMemoryReleased(gpu);
   }
 
   Status last = Status::Ok();

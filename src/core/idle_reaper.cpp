@@ -1,5 +1,7 @@
 #include "core/idle_reaper.h"
 
+#include <algorithm>
+
 #include "util/log.h"
 
 namespace swapserve::core {
@@ -7,13 +9,32 @@ namespace swapserve::core {
 void IdleReaper::Start() {
   SWAP_CHECK_MSG(!running_, "idle reaper already running");
   running_ = true;
+  grid_.Restart();
   sim_.Go([this]() -> sim::Task<> {
     while (running_) {
-      co_await sim_.Delay(scan_interval_);
+      co_await grid_.SleepUntil(PlanWake());
       if (!running_) break;
       (void)co_await ScanOnce();
+      grid_.Restart();
     }
   });
+}
+
+sim::SimTime IdleReaper::NextTick(const Backend& backend) const {
+  if (backend.engine->state() != engine::BackendState::kRunning) {
+    return sim::TickGrid::kNever;
+  }
+  // Once due, demand or a held lock may block it at any tick, so a due
+  // backend keeps the loop ticking every interval.
+  return grid_.TickAtOrAfter(backend.last_accessed + idle_threshold_);
+}
+
+sim::SimTime IdleReaper::PlanWake() const {
+  sim::SimTime next = sim::TickGrid::kNever;
+  for (const Backend* backend : controller_.backends()) {
+    next = std::min(next, NextTick(*backend));
+  }
+  return next;
 }
 
 bool IdleReaper::IsIdle(const Backend& backend) const {

@@ -130,6 +130,10 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
         config_.recovery.breaker_failure_threshold,
         sim::Seconds(config_.recovery.breaker_cooldown_s));
     backend->health.breaker.BindObservability(&obs_, entry.model_id);
+    backend->engine->SetListener(
+        [this, b = backend.get()](engine::EngineEvent event) {
+          OnEngineEvent(*b, event);
+        });
     controller_.RegisterBackend(backend.get());
     handler_.RegisterBackend(backend.get());
     backends_.push_back(std::move(backend));
@@ -232,7 +236,7 @@ sim::Task<Status> SwapServe::Initialize() {
     sup.rejuvenate_after = sim::Seconds(config_.recovery.rejuvenate_after_s);
     sup.restart_policy = MakeRetryPolicy(config_.recovery);
     supervisor_ = std::make_unique<EngineSupervisor>(
-        sim_, controller_, task_manager_, metrics_, sup,
+        sim_, controller_, metrics_, sup,
         DeriveSeed(config_.fault.seed, "supervisor"));
     supervisor_->BindObservability(&obs_);
     supervisor_->Start();
@@ -245,6 +249,26 @@ sim::Task<Status> SwapServe::Initialize() {
   }
   initialized_ = true;
   co_return Status::Ok();
+}
+
+void SwapServe::OnEngineEvent(Backend& backend, engine::EngineEvent event) {
+  if (event == engine::EngineEvent::kCrashed) {
+    // The crash freed the backend's device memory; credit it at the crash
+    // instant, not at recovery: a swap-in waiting on a chunk reservation
+    // may hold the exclusive lock Recover() needs. The credit runs as an
+    // event of its own because it can start a reclaim, and a reclaim must
+    // not run inside the crash transition (e.g. midway through a node's
+    // power-off loop, where it could pick a backend about to die).
+    sim_.Schedule(sim::SimDuration(0), [this, &backend] {
+      for (hw::GpuId gpu : backend.GpuIds()) {
+        task_manager_.NotifyMemoryReleased(gpu);
+      }
+    });
+  }
+  if (supervisor_ != nullptr) supervisor_->Notify(backend);
+  if (idle_reaper_ != nullptr && event == engine::EngineEvent::kRunning) {
+    idle_reaper_->Notify(backend);
+  }
 }
 
 void SwapServe::PauseWorkers() {

@@ -128,6 +128,10 @@ class SwapServe {
   bool initialized() const { return initialized_; }
 
  private:
+  // The engine listener every backend gets: credits crash-freed memory to
+  // the task manager and wakes the supervisor and idle reaper.
+  void OnEngineEvent(Backend& backend, engine::EngineEvent event);
+
   sim::Simulation& sim_;
   Config config_;
   Hardware hardware_;

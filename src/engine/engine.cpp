@@ -111,6 +111,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::ColdStart() {
   }
   breakdown->container_start = container_time;
   state_ = BackendState::kRunning;
+  Notify(EngineEvent::kRunning);
   SWAP_LOG(kInfo, "engine")
       << name_ << " cold start complete in "
       << breakdown->Total().ToString() << " ("
@@ -158,6 +159,7 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
   ++active_requests_;
   ++total_requests_;
   last_progress_ = sim().Now();
+  if (active_requests_ == 1) Notify(EngineEvent::kBusy);
   // Stale-coroutine guard: if the process crashes while this request is in
   // flight, MarkCrashed bumps the epoch and zeroes active_requests_; the
   // resumed coroutine must then bail out without touching the counters.
@@ -267,6 +269,12 @@ void InferenceEngine::MarkCrashed(std::string_view reason) {
   SWAP_LOG(kWarning, "engine")
       << name_ << " crashed (" << reason << "); driver released "
       << freed.ToString() << ", epoch " << restart_epoch_;
+  Notify(EngineEvent::kCrashed);
+}
+
+void InferenceEngine::FailRestart() {
+  state_ = BackendState::kCrashed;
+  Notify(EngineEvent::kCrashed);
 }
 
 sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
@@ -286,7 +294,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     co_return Unavailable("restart: " + name_ + " crashed mid-restart");
   }
   if (!f.status.ok()) {
-    state_ = BackendState::kCrashed;
+    FailRestart();
     co_return f.status;
   }
   // A crash while swapped out leaves the cgroup frozen; thaw it so the
@@ -297,7 +305,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
       co_return Unavailable("restart: " + name_ + " crashed mid-restart");
     }
     if (!s.ok()) {
-      state_ = BackendState::kCrashed;
+      FailRestart();
       co_return s;
     }
   }
@@ -313,11 +321,12 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     // (e.g. weights landed, KV-arena allocation failed); release it so a
     // retry starts from a clean slate.
     for (hw::GpuDevice* dev : Gpus()) dev->FreeAllOwnedBy(name_);
-    state_ = BackendState::kCrashed;
+    FailRestart();
     co_return breakdown.status();
   }
   state_ = BackendState::kRunning;
   last_progress_ = sim().Now();
+  Notify(EngineEvent::kRunning);
   SWAP_LOG(kInfo, "engine")
       << name_ << " restarted after crash in "
       << breakdown->Total().ToString() << " ("
@@ -350,6 +359,7 @@ Status InferenceEngine::MarkRunning() {
                               std::string(BackendStateName(state_)));
   }
   state_ = BackendState::kRunning;
+  Notify(EngineEvent::kRunning);
   return Status::Ok();
 }
 

@@ -93,6 +93,13 @@ struct GenerationRequest {
   std::int64_t stream_chunk_tokens = 16;
 };
 
+// Lifecycle transitions an engine reports to its listener: the process
+// died (every MarkCrashed caller, and a Restart that failed, which may have
+// freed device memory too), a Generate found the engine idle
+// (active_requests 0 -> 1), or the engine became resident and serving
+// (cold start, restart, or swap-in).
+enum class EngineEvent { kCrashed, kBusy, kRunning };
+
 struct GenerationResult {
   std::int64_t prompt_tokens = 0;
   std::int64_t output_tokens = 0;
@@ -165,6 +172,12 @@ class InferenceEngine {
     fault_ = injector;
   }
 
+  // One listener per engine (empty = none). Called synchronously inside
+  // the transition, after the new state is visible; it must not resume or
+  // start coroutines itself (schedule such work as an event of its own).
+  using Listener = std::function<void(EngineEvent)>;
+  void SetListener(Listener listener) { listener_ = std::move(listener); }
+
   // --- hot-swap interface (driven by the engine controller) -------------
   // GPU pages whose contents must round-trip through host RAM, vs pages a
   // restore may simply re-reserve. Sleep-mode engines shrink the former.
@@ -218,6 +231,13 @@ class InferenceEngine {
   // rolls back partial shard allocations on failure).
   Status AllocateSharded(Bytes total, const std::string& purpose);
 
+  void Notify(EngineEvent event) {
+    if (listener_) listener_(event);
+  }
+  // A restart that did not come up leaves the engine crashed again; report
+  // it like any other crash so whoever recovers crashed engines hears of it.
+  void FailRestart();
+
   EngineEnv env_;
   model::ModelSpec model_;
   EngineOptions options_;
@@ -232,6 +252,7 @@ class InferenceEngine {
   std::uint64_t restart_epoch_ = 0;
   std::uint64_t crash_count_ = 0;
   sim::SimTime last_progress_;
+  Listener listener_;
 };
 
 }  // namespace swapserve::engine
