@@ -52,14 +52,17 @@ void AppendEvent(std::ostringstream& out, const obs::TraceEvent& e) {
   out << '\n';
 }
 
-// The fig6a contention scenario, optionally with the snapshot tier armed.
-std::string RunFig6aScenario(double host_cache_mib, bool prefetch) {
+// The fig6a contention scenario, optionally with the snapshot tier armed or
+// the chunked (pipelined) swap path on.
+std::string RunFig6aScenario(double host_cache_mib, bool prefetch,
+                             bool pipelined = false) {
   TestBed bed;
   std::vector<std::pair<std::string, std::string>> entries = {
       {"llama-3.2-1b-fp16", "vllm"}, {"llama-3.1-8b-fp16", "vllm"}};
   Config cfg = bed.MakeConfig(entries);
   cfg.global.host_cache_mib = host_cache_mib;
   cfg.global.snapshot_prefetch = prefetch;
+  cfg.global.pipelined_swap = pipelined;
   SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
   bed.RunTask([&]() -> sim::Task<> {
     SWAP_CHECK((co_await serve.Initialize()).ok());
@@ -76,7 +79,8 @@ std::string RunFig6aScenario(double host_cache_mib, bool prefetch) {
 
   std::ostringstream out;
   out << "# swapserve golden trace v1\n";
-  out << "# scenario: fig6a two-model vllm contention, 2 rounds\n";
+  out << "# scenario: fig6a two-model vllm contention, 2 rounds"
+      << (pipelined ? ", pipelined swap" : "") << '\n';
   const std::vector<obs::TraceEvent> events = serve.obs().trace.Snapshot();
   SWAP_CHECK_MSG(serve.obs().trace.dropped() == 0,
                  "trace ring wrapped; golden stream is incomplete");
@@ -192,6 +196,14 @@ void ExpectGoldenMatch(const std::string& name, const std::string& actual) {
 
 TEST(GoldenTraceTest, Fig6aEventStreamMatchesGolden) {
   ExpectGoldenMatch("fig6a_trace", RunFig6aScenario(0.0, false));
+}
+
+// The same scenario through the chunked swap path: the scheduler's
+// PipelinedSwapIn and the controller's pipelined swap-out, whose event
+// ladder the serial golden never visits.
+TEST(GoldenTraceTest, Fig6aPipelinedEventStreamMatchesGolden) {
+  ExpectGoldenMatch("fig6a_pipelined_trace",
+                    RunFig6aScenario(0.0, false, /*pipelined=*/true));
 }
 
 // Determinism gate for the harness itself: two runs of the scenario must
