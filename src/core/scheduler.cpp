@@ -1,6 +1,8 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 
 #include "util/log.h"
 
@@ -24,34 +26,13 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
   }
   // Breaker bookkeeping for real attempts (the fast-fail gates above never
   // reach these): a granted pin closes the breaker, a terminal failure
-  // counts toward its trip threshold.
+  // (RecordBreakerFailure) counts toward its trip threshold.
   auto record_success = [&backend] {
     backend.health.breaker.RecordSuccess();
     if (backend.health.state == BackendHealth::State::kDegraded) {
       backend.health.state = BackendHealth::State::kHealthy;
     }
   };
-  auto record_failure = [this, &backend] {
-    const std::uint64_t trips = backend.health.breaker.trips();
-    backend.health.breaker.RecordFailure();
-    if (backend.health.breaker.trips() > trips) {
-      ++backend.health.quarantines;
-      if (metrics_ != nullptr) metrics_->RecordQuarantine(backend.name());
-      SWAP_LOG(kWarning, "scheduler")
-          << backend.name() << ": circuit breaker opened after "
-          << backend.health.breaker.consecutive_failures()
-          << " consecutive failures";
-    }
-  };
-  // Distinguishes "gave up on a retryable failure because the attempt
-  // budget ran out" (counted) from "the failure was never retryable"
-  // (not an exhaustion — retrying would not have helped).
-  auto record_exhausted = [this, &backend](const Status& status) {
-    if (!fault::IsRetryable(status)) return;
-    obs::IncCounter(obs_, "swapserve_retry_exhausted_total",
-                    {{"component", "scheduler"}, {"model", backend.name()}});
-  };
-
   // Reservation/swap-in failures below are retried with backoff up to the
   // policy's budget; `failures` persists across loop iterations, and
   // `crash_waits` separately bounds how long a request camps on a crashed
@@ -105,7 +86,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
       }
       ++crash_waits;
       if (crash_waits > 4 * retry_policy_.max_attempts) {
-        record_failure();
+        RecordBreakerFailure(backend);
         co_return Unavailable("backend " + backend.name() +
                               " crashed and did not recover in time");
       }
@@ -115,7 +96,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
     }
 
     if (backend.engine->state() != engine::BackendState::kSwappedOut) {
-      record_failure();
+      RecordBreakerFailure(backend);
       co_return Unavailable(
           "backend " + backend.name() + " is " +
           std::string(engine::BackendStateName(backend.engine->state())));
@@ -128,130 +109,73 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
     // the whole reservation + eviction window.
     if (prefetch_hook_) prefetch_hook_(backend);
 
-    if (pipelined_) {
-      // Chunk-gated restore: memory is reserved chunk-by-chunk as the
-      // pipeline advances, so the restore overlaps any in-flight eviction.
-      // On RESOURCE_EXHAUSTED fall through to the serial path, whose
-      // all-up-front reservation carries the anti-livelock guarantee.
-      Status status = co_await controller_.PipelinedSwapIn(backend);
-      if (status.ok()) {
-        sim::SimRwLock::SharedGuard pin =
-            co_await backend.lock.AcquireShared();
-        backend.swap_in_progress = false;
-        backend.swap_done.Set();
-        if (backend.engine->state() != engine::BackendState::kRunning) {
-          pin.Release();
-          continue;
-        }
-        record_success();
-        pin.DetachAgent();  // escapes this frame
-        co_return pin;
-      }
-      if (status.code() != StatusCode::kResourceExhausted) {
-        backend.swap_in_progress = false;
-        backend.swap_done.Set();
-        ++failures;
-        if (retry_policy_.ShouldRetry(status, failures)) {
-          if (metrics_ != nullptr) metrics_->RecordSwapRetry(backend.name());
-          const sim::SimDuration backoff =
-              retry_policy_.BackoffBefore(failures, rng_);
-          SWAP_LOG(kWarning, "scheduler")
-              << "pipelined swap-in of " << backend.name() << " failed ("
-              << failures << "/" << retry_policy_.max_attempts
-              << "): " << status << "; retrying in " << backoff.ToString();
-          co_await sim_.Delay(backoff);
-          continue;
-        }
-        record_exhausted(status);
-        record_failure();
-        co_return status;
-      }
-      SWAP_LOG(kWarning, "scheduler")
-          << "pipelined swap-in of " << backend.name()
-          << " ran out of memory mid-stream; falling back to serial: "
-          << status;
-    }
-
-    // §3.4/§6: reserve the GPU memory saved at swap-out — one scoped
-    // reservation per device in the tensor-parallel group, acquired in
-    // ascending device order so overlapping groups cannot deadlock.
-    obs::Span place_span = obs::StartSpan(obs_, "scheduler.place",
-                                          "scheduler", backend.name());
-    place_span.AddArg("bytes",
-                      std::to_string(backend.resident_bytes.count()));
-    const sim::SimTime reserve_start = sim_.Now();
-    const std::vector<hw::GpuId> gpu_ids = backend.GpuIds();
-    const auto tp = static_cast<std::int64_t>(gpu_ids.size());
-    const Bytes per_gpu(backend.resident_bytes.count() / tp);
-    const Bytes first_gpu = per_gpu + (backend.resident_bytes - per_gpu * tp);
-    std::vector<TaskManager::Reservation> reservations;
+    // Chunk-gated restore first: memory is reserved chunk-by-chunk as the
+    // pipeline advances, so the restore overlaps any in-flight eviction.
+    // On RESOURCE_EXHAUSTED fall through to the serial path, whose
+    // all-up-front reservation carries the anti-livelock guarantee.
+    const char* step = "pipelined swap-in of ";
     Status status = Status::Ok();
-    {
-      obs::Span reserve_span = obs::StartSpan(obs_, "scheduler.reserve",
-                                              "scheduler", backend.name());
-      for (std::size_t rank = 0; rank < gpu_ids.size(); ++rank) {
-        Result<TaskManager::Reservation> reservation =
-            co_await task_manager_.Reserve(
-                gpu_ids[rank], rank == 0 ? first_gpu : per_gpu,
-                backend.name());
-        if (!reservation.ok()) {
-          status = reservation.status();
-          break;
+    if (pipelined_) {
+      status = co_await controller_.PipelinedSwapIn(backend);
+      if (status.code() == StatusCode::kResourceExhausted) {
+        SWAP_LOG(kWarning, "scheduler")
+            << "pipelined swap-in of " << backend.name()
+            << " ran out of memory mid-stream; falling back to serial: "
+            << status;
+      }
+    }
+    obs::Span place_span;
+    std::vector<TaskManager::Reservation> reservations;
+    if (!pipelined_ || status.code() == StatusCode::kResourceExhausted) {
+      // §3.4/§6: reserve the GPU memory saved at swap-out — one scoped
+      // reservation per device in the tensor-parallel group, acquired in
+      // ascending device order so overlapping groups cannot deadlock.
+      place_span = obs::StartSpan(obs_, "scheduler.place", "scheduler",
+                                  backend.name());
+      place_span.AddArg("bytes",
+                        std::to_string(backend.resident_bytes.count()));
+      const sim::SimTime reserve_start = sim_.Now();
+      const std::vector<hw::GpuId> gpu_ids = backend.GpuIds();
+      const auto tp = static_cast<std::int64_t>(gpu_ids.size());
+      const Bytes per_gpu(backend.resident_bytes.count() / tp);
+      const Bytes first_gpu =
+          per_gpu + (backend.resident_bytes - per_gpu * tp);
+      step = "reservation for ";
+      status = Status::Ok();
+      {
+        obs::Span reserve_span = obs::StartSpan(obs_, "scheduler.reserve",
+                                                "scheduler", backend.name());
+        for (std::size_t rank = 0; rank < gpu_ids.size(); ++rank) {
+          Result<TaskManager::Reservation> reservation =
+              co_await task_manager_.Reserve(
+                  gpu_ids[rank], rank == 0 ? first_gpu : per_gpu,
+                  backend.name());
+          if (!reservation.ok()) {
+            status = reservation.status();
+            break;
+          }
+          reservations.push_back(std::move(*reservation));
         }
-        reservations.push_back(std::move(*reservation));
+        reserve_span.AddArg("status", status.ok() ? "ok" : "failed");
       }
-      reserve_span.AddArg("status", status.ok() ? "ok" : "failed");
-    }
-    obs::Observe(obs_, "swapserve_reservation_wait_seconds",
-                 {{"model", backend.name()}},
-                 (sim_.Now() - reserve_start).ToSeconds());
-    if (!status.ok()) {
-      // A failed reservation is not terminal by itself: release any shards
-      // already acquired, back off, and retry — the memory pressure that
-      // starved us may clear. Terminal only after the budget is spent.
-      reservations.clear();  // release any shards already acquired
-      backend.swap_in_progress = false;
-      backend.swap_done.Set();
-      ++failures;
-      if (retry_policy_.ShouldRetry(status, failures)) {
-        if (metrics_ != nullptr) metrics_->RecordSwapRetry(backend.name());
-        const sim::SimDuration backoff =
-            retry_policy_.BackoffBefore(failures, rng_);
-        SWAP_LOG(kWarning, "scheduler")
-            << "reservation for " << backend.name() << " failed ("
-            << failures << "/" << retry_policy_.max_attempts
-            << "): " << status << "; retrying in " << backoff.ToString();
-        co_await sim_.Delay(backoff);
-        continue;
+      obs::Observe(obs_, "swapserve_reservation_wait_seconds",
+                   {{"model", backend.name()}},
+                   (sim_.Now() - reserve_start).ToSeconds());
+      if (status.ok()) {
+        step = "swap-in of ";
+        status = co_await controller_.SwapIn(backend);
       }
-      SWAP_LOG(kWarning, "scheduler")
-          << "reservation for " << backend.name()
-          << " failed after " << failures << " attempt(s): " << status;
-      record_exhausted(status);
-      record_failure();
-      co_return status;
     }
-
-    status = co_await controller_.SwapIn(backend);
     if (!status.ok()) {
+      // A failed attempt is not terminal by itself: release any shards
+      // already acquired, back off, and retry — the memory pressure or
+      // fault that starved us may clear. Terminal once the budget is spent.
       reservations.clear();
-      backend.swap_in_progress = false;
-      backend.swap_done.Set();
-      ++failures;
-      if (retry_policy_.ShouldRetry(status, failures)) {
-        if (metrics_ != nullptr) metrics_->RecordSwapRetry(backend.name());
-        const sim::SimDuration backoff =
-            retry_policy_.BackoffBefore(failures, rng_);
-        SWAP_LOG(kWarning, "scheduler")
-            << "swap-in of " << backend.name() << " failed (" << failures
-            << "/" << retry_policy_.max_attempts << "): " << status
-            << "; retrying in " << backoff.ToString();
-        co_await sim_.Delay(backoff);
-        continue;
-      }
-      record_exhausted(status);
-      record_failure();
-      co_return status;
+      const std::optional<sim::SimDuration> backoff =
+          SwapInAttemptFailed(backend, status, failures, step);
+      if (!backoff.has_value()) co_return status;
+      co_await sim_.Delay(*backoff);
+      continue;
     }
 
     // Queue the pin BEFORE releasing the reservations: the release may
@@ -271,6 +195,48 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
     pin.DetachAgent();  // escapes this frame
     co_return pin;
   }
+}
+
+void Scheduler::RecordBreakerFailure(Backend& backend) {
+  const std::uint64_t trips = backend.health.breaker.trips();
+  backend.health.breaker.RecordFailure();
+  if (backend.health.breaker.trips() > trips) {
+    ++backend.health.quarantines;
+    if (metrics_ != nullptr) metrics_->RecordQuarantine(backend.name());
+    SWAP_LOG(kWarning, "scheduler")
+        << backend.name() << ": circuit breaker opened after "
+        << backend.health.breaker.consecutive_failures()
+        << " consecutive failures";
+  }
+}
+
+std::optional<sim::SimDuration> Scheduler::SwapInAttemptFailed(
+    Backend& backend, const Status& status, int& failures,
+    std::string_view step) {
+  backend.swap_in_progress = false;
+  backend.swap_done.Set();
+  ++failures;
+  if (retry_policy_.ShouldRetry(status, failures)) {
+    if (metrics_ != nullptr) metrics_->RecordSwapRetry(backend.name());
+    const sim::SimDuration backoff =
+        retry_policy_.BackoffBefore(failures, rng_);
+    SWAP_LOG(kWarning, "scheduler")
+        << step << backend.name() << " failed (" << failures << "/"
+        << retry_policy_.max_attempts << "): " << status
+        << "; retrying in " << backoff.ToString();
+    return backoff;
+  }
+  SWAP_LOG(kWarning, "scheduler")
+      << step << backend.name() << " failed after " << failures
+      << " attempt(s): " << status;
+  // Only a retryable failure exhausted the budget; one that was never
+  // retryable is not counted (retrying would not have helped).
+  if (fault::IsRetryable(status)) {
+    obs::IncCounter(obs_, "swapserve_retry_exhausted_total",
+                    {{"component", "scheduler"}, {"model", backend.name()}});
+  }
+  RecordBreakerFailure(backend);
+  return std::nullopt;
 }
 
 }  // namespace swapserve::core

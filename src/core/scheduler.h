@@ -13,6 +13,8 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <string_view>
 
 #include "core/backend.h"
 #include "core/engine_controller.h"
@@ -69,6 +71,18 @@ class Scheduler {
   }
 
  private:
+  // Counts a terminal request-path failure toward the circuit breaker.
+  void RecordBreakerFailure(Backend& backend);
+
+  // Bookkeeping after a failed swap-in attempt (`step` names it in the
+  // log, e.g. "reservation for "): releases concurrent triggers, counts the
+  // failure, and returns the backoff before the next attempt, or nullopt
+  // once the failure is terminal (then already recorded).
+  std::optional<sim::SimDuration> SwapInAttemptFailed(Backend& backend,
+                                                      const Status& status,
+                                                      int& failures,
+                                                      std::string_view step);
+
   obs::Observability* obs_ = nullptr;
   Metrics* metrics_ = nullptr;
   sim::Simulation& sim_;

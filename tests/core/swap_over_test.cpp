@@ -155,5 +155,53 @@ TEST(SwapOverTest, FailsWhenIncomingHasNoSnapshot) {
   });
 }
 
+// A corrupt incoming snapshot (DATA_LOSS at restore) gets the same
+// treatment as on the plain swap-in paths: the snapshot is dropped and the
+// incoming backend is rebuilt from a cold start.
+TEST(SwapOverTest, CorruptIncomingSnapshotFallsBackToColdStart) {
+  TestBed bed;
+  SwapServe serve(bed.sim, TwoModelConfig(bed, true), bed.catalog,
+                  bed.hardware());
+  Backend* big = serve.backend(kBig);
+  Backend* small = serve.backend(kSmall);
+  fault::FaultRule corrupt;
+  corrupt.point = "snapshot.corrupt";
+  corrupt.owner = kSmall;
+  corrupt.max_fires = 1;
+  serve.fault_injector().Configure(fault::FaultPlan{.rules = {corrupt}});
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    ChatResult r = co_await serve.ChatAndWait(kBig, 64, 16);
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(small->has_snapshot);
+    const ckpt::SnapshotId corrupt_id = small->snapshot;
+    EXPECT_EQ(serve.snapshot_store().Verify(corrupt_id).code(),
+              StatusCode::kDataLoss);
+
+    const sim::SimTime start = bed.sim.Now();
+    auto over = co_await serve.controller().SwapOver(*big, *small);
+    EXPECT_TRUE(over.ok()) << over.status();
+    EXPECT_EQ(small->engine->state(), engine::BackendState::kRunning);
+    EXPECT_FALSE(small->has_snapshot);
+    EXPECT_FALSE(serve.snapshot_store().Get(corrupt_id).ok());
+    EXPECT_EQ(big->engine->state(), engine::BackendState::kSwappedOut);
+    EXPECT_TRUE(big->has_snapshot);
+    if (over.ok()) {
+      // Timed to the rebuilt engine; nothing was restored, so no overlap.
+      EXPECT_EQ(over->elapsed, bed.sim.Now() - start);
+      EXPECT_EQ(over->overlap.ns(), 0);
+    }
+    ChatResult r2 = co_await serve.ChatAndWait(kSmall, 64, 16);
+    EXPECT_TRUE(r2.ok) << r2.error;
+    serve.Shutdown();
+  });
+  EXPECT_EQ(serve.metrics().recoveries, 1u);
+  std::size_t fallbacks = 0;
+  for (const obs::TraceEvent& e : serve.obs().trace.Snapshot()) {
+    if (e.name == std::string("cold_fallback:") + kSmall) ++fallbacks;
+  }
+  EXPECT_EQ(fallbacks, 1u);
+}
+
 }  // namespace
 }  // namespace swapserve::core
