@@ -9,5 +9,5 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-scripts/check_asan.sh -L chaos "$@"
-scripts/check_tsan.sh -L chaos "$@"
+scripts/check_san.sh asan -L chaos "$@"
+scripts/check_san.sh tsan -L chaos "$@"
