@@ -145,7 +145,7 @@ class CheckpointEngine {
   // Emit per-phase trace spans (§3 state machine: freeze/lock/d2h/release
   // out, reserve/h2d/remap/unlock/thaw in) and phase-latency histograms
   // (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs);
 
   // Nullable. Fault points: "ckpt.swap_out" (before the freeze; container
   // and process stay running), "ckpt.swap_in" (after the snapshot lookup;
@@ -174,6 +174,10 @@ class CheckpointEngine {
 
  private:
   obs::Observability* obs_ = nullptr;
+  // swapserve_ckpt_phase_seconds{phase=d2h|h2d|restore_pipeline}
+  obs::HistogramHandle d2h_seconds_;
+  obs::HistogramHandle h2d_seconds_;
+  obs::HistogramHandle restore_pipeline_seconds_;
   fault::FaultInjector* fault_ = nullptr;
   SnapshotTierManager* tier_ = nullptr;
   RemoteFetch remote_fetch_;

@@ -48,6 +48,7 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
         sim_, id, gpu_count, std::move(node_config), catalog, options));
     node_ptrs_.push_back(nodes_.back().get());
   }
+  routed_series_.resize(nodes_.size());
   if (n > 1) {
     fabric_ = std::make_unique<Fabric>(sim_, n, config_.cluster.fabric_gbps,
                                        config_.cluster.fabric_latency_us);
@@ -178,8 +179,17 @@ Result<core::ResponseChannelPtr> ClusterServe::Accept(
                                                      request.model));
   Node& node = *nodes_[target];
   ++routed_;
-  obs::IncCounter(&node.serve().obs(), "swapserve_cluster_routed_total",
-                  {{"model", request.model}, {"node", node.name()}});
+  auto& routed = routed_series_[static_cast<std::size_t>(target)];
+  auto it = routed.find(request.model);
+  if (it == routed.end()) {
+    it = routed
+             .try_emplace(request.model, &node.serve().obs(),
+                          "swapserve_cluster_routed_total",
+                          obs::LabelSet{{"model", request.model},
+                                        {"node", node.name()}})
+             .first;
+  }
+  it->second.Increment();
   return node.serve().handler().Accept(std::move(request));
 }
 

@@ -28,6 +28,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -140,6 +142,10 @@ class ClusterServe {
   // Pair owner names ("nodeI:nodeJ", i < j) precomputed so the per-beat
   // node.partition evaluation allocates nothing.
   std::vector<std::vector<std::string>> pair_owner_;
+  // swapserve_cluster_routed_total{model,node} per node, by model; a
+  // model's handle is made on its first route to that node.
+  std::vector<std::map<std::string, obs::CounterHandle, std::less<>>>
+      routed_series_;
   bool migration_running_ = false;
   bool initialized_ = false;
   std::uint64_t migrations_ = 0;

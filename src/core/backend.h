@@ -14,6 +14,7 @@
 #include "core/types.h"
 #include "engine/engine.h"
 #include "fault/circuit_breaker.h"
+#include "obs/observability.h"
 #include "sim/channel.h"
 #include "sim/sync.h"
 
@@ -106,6 +107,29 @@ struct Backend {
 
   // Self-healing state (supervisor + circuit breaker).
   BackendHealth health;
+
+  // Per-event registry series labelled with this backend's model, shared
+  // by the request handler, model worker and scheduler. No-ops until
+  // BindObservability.
+  struct Series {
+    obs::GaugeHandle queue_depth;
+    obs::HistogramHandle queue_wait;
+    obs::HistogramHandle reservation_wait;
+    obs::CounterHandle stream_chunks;
+  };
+  Series series;
+
+  void BindObservability(obs::Observability* obs) {
+    series = Series{
+        .queue_depth = {obs, "swapserve_queue_depth", {{"model", name()}}},
+        .queue_wait = {obs, "swapserve_queue_wait_seconds",
+                       {{"model", name()}}},
+        .reservation_wait = {obs, "swapserve_reservation_wait_seconds",
+                             {{"model", name()}}},
+        .stream_chunks = {obs, "swapserve_stream_chunks_total",
+                          {{"model", name()}}},
+    };
+  }
 };
 
 }  // namespace swapserve::core

@@ -11,22 +11,51 @@ constexpr const char* kOutputTokens = "swapserve_output_tokens_total";
 constexpr const char* kSwapsTotal = "swapserve_swaps_total";
 constexpr const char* kSwapLatency = "swapserve_swap_latency_seconds";
 
-void CountRequest(obs::Observability* obs, const std::string& model,
-                  const char* outcome) {
-  if (obs == nullptr) return;
-  obs->metrics
-      .GetCounter(kRequestsTotal, {{"model", model}, {"outcome", outcome}})
-      .Increment();
-  obs->metrics.SetHelp(kRequestsTotal,
-                       "Requests by model and terminal outcome");
+}  // namespace
+
+ModelSeries::ModelSeries(obs::Observability* obs, const std::string& model)
+    : bound(true),
+      completed(obs, kRequestsTotal,
+                {{"model", model}, {"outcome", "completed"}}),
+      rejected(obs, kRequestsTotal,
+               {{"model", model}, {"outcome", "rejected"}}),
+      shed(obs, kRequestsTotal, {{"model", model}, {"outcome", "shed"}}),
+      failed(obs, kRequestsTotal, {{"model", model}, {"outcome", "failed"}}),
+      expired(obs, kRequestsTotal,
+              {{"model", model}, {"outcome", "expired"}}),
+      ttft(obs, kTtftSeconds, {{"model", model}}),
+      latency(obs, kLatencySeconds, {{"model", model}}),
+      swap_wait(obs, kSwapWaitSeconds, {{"model", model}}),
+      output_tokens(obs, kOutputTokens, {{"model", model}}) {}
+
+void Metrics::BindObservability(obs::Observability* obs) {
+  obs_ = obs;
+  requests_help_set_ = false;
+  for (auto& [model, mm] : per_model_) mm.series = ModelSeries();
 }
 
-}  // namespace
+ModelMetrics& Metrics::Entry(const std::string& model) {
+  ModelMetrics& mm = per_model_[model];
+  if (obs_ != nullptr && !mm.series.bound) {
+    mm.series = ModelSeries(obs_, model);
+  }
+  return mm;
+}
+
+void Metrics::CountRequest(obs::CounterHandle& outcome) {
+  if (obs_ == nullptr) return;
+  outcome.Increment();
+  if (!requests_help_set_) {
+    obs_->metrics.SetHelp(kRequestsTotal,
+                          "Requests by model and terminal outcome");
+    requests_help_set_ = true;
+  }
+}
 
 void Metrics::RecordCompleted(const std::string& model, double ttft_s,
                               double total_s, double swap_wait_s,
                               std::int64_t output_tokens) {
-  ModelMetrics& mm = per_model_[model];
+  ModelMetrics& mm = Entry(model);
   ++mm.completed;
   mm.output_tokens += output_tokens;
   mm.ttft_s.Add(ttft_s);
@@ -38,36 +67,39 @@ void Metrics::RecordCompleted(const std::string& model, double ttft_s,
     ++mm.served_resident;
   }
 
-  CountRequest(obs_, model, "completed");
-  obs::Observe(obs_, kTtftSeconds, {{"model", model}}, ttft_s);
-  obs::Observe(obs_, kLatencySeconds, {{"model", model}}, total_s);
-  obs::Observe(obs_, kSwapWaitSeconds, {{"model", model}}, swap_wait_s);
-  obs::IncCounter(obs_, kOutputTokens, {{"model", model}},
-                  static_cast<double>(output_tokens));
+  CountRequest(mm.series.completed);
+  mm.series.ttft.Observe(ttft_s);
+  mm.series.latency.Observe(total_s);
+  mm.series.swap_wait.Observe(swap_wait_s);
+  mm.series.output_tokens.Increment(static_cast<double>(output_tokens));
 }
 
 void Metrics::RecordRejected(const std::string& model) {
-  ++per_model_[model].rejected;
-  CountRequest(obs_, model, "rejected");
+  ModelMetrics& mm = Entry(model);
+  ++mm.rejected;
+  CountRequest(mm.series.rejected);
 }
 
 void Metrics::RecordShed(const std::string& model,
                          const std::string& slo_class) {
-  ++per_model_[model].shed;
-  CountRequest(obs_, model, "shed");
+  ModelMetrics& mm = Entry(model);
+  ++mm.shed;
+  CountRequest(mm.series.shed);
   obs::IncCounter(obs_, "swapserve_admission_shed_total",
                   {{"model", model},
                    {"slo_class", slo_class.empty() ? "default" : slo_class}});
 }
 
 void Metrics::RecordFailed(const std::string& model) {
-  ++per_model_[model].failed;
-  CountRequest(obs_, model, "failed");
+  ModelMetrics& mm = Entry(model);
+  ++mm.failed;
+  CountRequest(mm.series.failed);
 }
 
 void Metrics::RecordExpired(const std::string& model) {
-  ++per_model_[model].expired;
-  CountRequest(obs_, model, "expired");
+  ModelMetrics& mm = Entry(model);
+  ++mm.expired;
+  CountRequest(mm.series.expired);
 }
 
 void Metrics::RecordSwapOut(const std::string& model, double latency_s,

@@ -5,7 +5,9 @@
 // bench tables print and — when BindObservability() was called — the
 // labeled registry in src/obs/ the Prometheus/JSON exporters read. Routing
 // both sinks through one call site is what keeps the old tables and the new
-// exporters from drifting apart.
+// exporters from drifting apart. Per-request outcomes reach the registry
+// through each model's ModelSeries handles, found by the same map lookup
+// that finds its ModelMetrics, so no request pays a label-set lookup.
 
 #pragma once
 
@@ -19,6 +21,25 @@
 
 namespace swapserve::core {
 
+// One model's per-request registry series, resolved on first use (see the
+// handles in obs/observability.h). Metrics binds the block the first time it
+// records against the model with observability bound.
+struct ModelSeries {
+  ModelSeries() = default;
+  ModelSeries(obs::Observability* obs, const std::string& model);
+
+  bool bound = false;
+  obs::CounterHandle completed;  // swapserve_requests_total{model,outcome}
+  obs::CounterHandle rejected;
+  obs::CounterHandle shed;
+  obs::CounterHandle failed;
+  obs::CounterHandle expired;
+  obs::HistogramHandle ttft;
+  obs::HistogramHandle latency;
+  obs::HistogramHandle swap_wait;
+  obs::CounterHandle output_tokens;
+};
+
 struct ModelMetrics {
   Samples ttft_s;          // arrival -> first token
   Samples total_s;         // arrival -> completion
@@ -31,6 +52,7 @@ struct ModelMetrics {
   std::uint64_t served_resident = 0;  // no swap needed
   std::uint64_t served_after_swap_in = 0;
   std::int64_t output_tokens = 0;
+  ModelSeries series;  // registry mirror; not a statistic
 };
 
 class Metrics {
@@ -44,7 +66,7 @@ class Metrics {
 
   // Mirror every Record* into the labeled registry (nullable; see
   // obs/observability.h for the metric taxonomy).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs);
 
   // --- request outcomes (one call per request, from the model worker /
   // request handler) ----------------------------------------------------
@@ -112,8 +134,13 @@ class Metrics {
   Samples AllTtft() const;
 
  private:
+  // The model's entry, with its series block bound to obs_.
+  ModelMetrics& Entry(const std::string& model);
+  void CountRequest(obs::CounterHandle& outcome);
+
   std::map<std::string, ModelMetrics> per_model_;
   obs::Observability* obs_ = nullptr;
+  bool requests_help_set_ = false;
 };
 
 }  // namespace swapserve::core

@@ -52,7 +52,8 @@ class ModelWorker {
   }
   bool paused() const { return paused_; }
 
-  // Emit per-request serve spans and queue-wait histograms (nullable).
+  // Emit per-request serve spans and instants (nullable); the worker's
+  // metrics go through the backend's series.
   void BindObservability(obs::Observability* obs) { obs_ = obs; }
 
   // Requeue-with-backoff on retryable relay failures: a failed request

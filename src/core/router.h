@@ -62,11 +62,16 @@ class OpenAiRouter {
   static std::int64_t EstimatePromptTokensText(std::string_view messages_json);
 
   // Emit auth/validate/enqueue spans and outcome counters (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    accepted_ = {obs, "swapserve_router_requests_total",
+                 {{"outcome", "accepted"}}};
+  }
 
  private:
   RequestHandler& handler_;
   obs::Observability* obs_ = nullptr;
+  obs::CounterHandle accepted_;
   // In-situ parse state, reused across requests: the body is copied into
   // scratch_ (capacity persists) and doc_'s node arena is recycled, so a
   // warm router parses with zero steady-state allocations.

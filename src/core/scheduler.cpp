@@ -158,9 +158,8 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
         }
         reserve_span.AddArg("status", status.ok() ? "ok" : "failed");
       }
-      obs::Observe(obs_, "swapserve_reservation_wait_seconds",
-                   {{"model", backend.name()}},
-                   (sim_.Now() - reserve_start).ToSeconds());
+      backend.series.reservation_wait.Observe(
+          (sim_.Now() - reserve_start).ToSeconds());
       if (status.ok()) {
         step = "swap-in of ";
         status = co_await controller_.SwapIn(backend);

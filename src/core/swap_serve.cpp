@@ -130,6 +130,7 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
         config_.recovery.breaker_failure_threshold,
         sim::Seconds(config_.recovery.breaker_cooldown_s));
     backend->health.breaker.BindObservability(&obs_, entry.model_id);
+    backend->BindObservability(&obs_);
     backend->engine->SetListener(
         [this, b = backend.get()](engine::EngineEvent event) {
           OnEngineEvent(*b, event);

@@ -104,16 +104,22 @@ Bytes TaskManager::PendingRelease(hw::GpuId gpu) const {
   return Queue(gpu).pending_release;
 }
 
+void TaskManager::BindObservability(obs::Observability* obs) {
+  obs_ = obs;
+  for (auto& [gpu, q] : queues_) {
+    const obs::LabelSet labels = {{"gpu", std::to_string(gpu)}};
+    q.reserved_gauge = {obs, "swapserve_gpu_reserved_bytes", labels};
+    q.queue_depth_gauge = {obs, "swapserve_reservation_queue_depth", labels};
+    q.pending_release_gauge = {obs, "swapserve_gpu_pending_release_bytes",
+                               labels};
+  }
+}
+
 void TaskManager::PublishGauges(hw::GpuId gpu) {
-  if (obs_ == nullptr) return;
-  const GpuQueue& q = Queue(gpu);
-  const obs::LabelSet labels = {{"gpu", std::to_string(gpu)}};
-  obs::SetGauge(obs_, "swapserve_gpu_reserved_bytes", labels,
-                static_cast<double>(q.outstanding.count()));
-  obs::SetGauge(obs_, "swapserve_reservation_queue_depth", labels,
-                static_cast<double>(q.waiters.size()));
-  obs::SetGauge(obs_, "swapserve_gpu_pending_release_bytes", labels,
-                static_cast<double>(q.pending_release.count()));
+  GpuQueue& q = Queue(gpu);
+  q.reserved_gauge.Set(static_cast<double>(q.outstanding.count()));
+  q.queue_depth_gauge.Set(static_cast<double>(q.waiters.size()));
+  q.pending_release_gauge.Set(static_cast<double>(q.pending_release.count()));
 }
 
 void TaskManager::Pump(hw::GpuId gpu) {

@@ -117,7 +117,7 @@ class TaskManager {
 
   // Emit reserve-wait spans, reserved-bytes gauges, and reclaim counters
   // (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs);
 
  private:
   struct Waiter {
@@ -142,6 +142,9 @@ class TaskManager {
     Bytes pending_release{0};
     std::deque<Waiter*> waiters;
     bool reclaiming = false;
+    obs::GaugeHandle reserved_gauge;
+    obs::GaugeHandle queue_depth_gauge;
+    obs::GaugeHandle pending_release_gauge;
   };
 
   void ReleaseReservation(hw::GpuId gpu, Bytes bytes);

@@ -13,7 +13,10 @@ GpuDevice::GpuDevice(sim::Simulation& sim, GpuId id, GpuSpec spec)
       used_(0) {}
 
 void GpuDevice::BindObservability(obs::Observability* obs) {
-  obs_ = obs;
+  const obs::LabelSet labels = {{"gpu", std::to_string(id_)}};
+  used_gauge_ = {obs, "swapserve_gpu_used_bytes", labels};
+  capacity_gauge_ = {obs, "swapserve_gpu_capacity_bytes", labels};
+  allocations_gauge_ = {obs, "swapserve_gpu_allocations", labels};
   pcie_.BindObservability(obs);
   PublishMemoryGauges();
 }
@@ -24,14 +27,9 @@ void GpuDevice::BindFaultInjector(fault::FaultInjector* injector) {
 }
 
 void GpuDevice::PublishMemoryGauges() {
-  if (obs_ == nullptr) return;
-  const obs::LabelSet labels = {{"gpu", std::to_string(id_)}};
-  obs::SetGauge(obs_, "swapserve_gpu_used_bytes", labels,
-                static_cast<double>(used_.count()));
-  obs::SetGauge(obs_, "swapserve_gpu_capacity_bytes", labels,
-                static_cast<double>(spec_.memory.count()));
-  obs::SetGauge(obs_, "swapserve_gpu_allocations", labels,
-                static_cast<double>(allocations_.size()));
+  used_gauge_.Set(static_cast<double>(used_.count()));
+  capacity_gauge_.Set(static_cast<double>(spec_.memory.count()));
+  allocations_gauge_.Set(static_cast<double>(allocations_.size()));
 }
 
 Result<AllocationId> GpuDevice::Allocate(const std::string& owner, Bytes size,

@@ -119,7 +119,9 @@ class GpuDevice {
 
   void PublishMemoryGauges();
 
-  obs::Observability* obs_ = nullptr;
+  obs::GaugeHandle used_gauge_;
+  obs::GaugeHandle capacity_gauge_;
+  obs::GaugeHandle allocations_gauge_;
   fault::FaultInjector* fault_ = nullptr;
   sim::Simulation& sim_;
   GpuId id_;

@@ -18,6 +18,14 @@ GpuMonitor::GpuMonitor(sim::Simulation& sim, std::vector<GpuDevice*> gpus,
   for (std::size_t i = 0; i < n; ++i) {
     busy_snapshot_[i] = gpus_[i]->TotalBusy();
   }
+  util_gauges_.resize(n);
+}
+
+void GpuMonitor::BindObservability(obs::Observability* obs) {
+  for (std::size_t i = 0; i < gpus_.size(); ++i) {
+    util_gauges_[i] = {obs, "swapserve_gpu_utilization",
+                       {{"gpu", std::to_string(gpus_[i]->id())}}};
+  }
 }
 
 void GpuMonitor::Start() {
@@ -39,8 +47,7 @@ sim::Task<> GpuMonitor::SampleLoop() {
       snapshot_time_[i] = sim_.Now();
       memory_series_[i].Record(now_s, gpu.used().AsGiB());
       util_series_[i].Record(now_s, util);
-      obs::SetGauge(obs_, "swapserve_gpu_utilization",
-                    {{"gpu", std::to_string(gpu.id())}}, util);
+      util_gauges_[i].Set(util);
     }
   }
 }

@@ -28,7 +28,7 @@ class GpuMonitor {
   void Stop() { running_ = false; }
 
   // Publish per-GPU utilization gauges each sample (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs);
 
   // Instantaneous queries used for scheduling decisions.
   Bytes FreeMemory(GpuId id) const;
@@ -52,7 +52,7 @@ class GpuMonitor {
   std::vector<GpuDevice*> gpus_;
   sim::SimDuration interval_;
   bool running_ = false;
-  obs::Observability* obs_ = nullptr;
+  std::vector<obs::GaugeHandle> util_gauges_;  // parallel to gpus_
 
   std::vector<TimeSeries> memory_series_;
   std::vector<TimeSeries> util_series_;

@@ -14,6 +14,15 @@ Link::Link(sim::Simulation& sim, std::string name, BytesPerSecond bandwidth,
       bandwidth_(bandwidth),
       setup_latency_(setup_latency) {}
 
+void Link::BindObservability(obs::Observability* obs) {
+  obs_ = obs;
+  const obs::LabelSet labels = {{"link", name_}};
+  in_flight_gauge_ = {obs, "swapserve_link_in_flight", labels};
+  transferred_counter_ = {obs, "swapserve_link_transferred_bytes_total",
+                          labels};
+  busy_counter_ = {obs, "swapserve_link_busy_seconds_total", labels};
+}
+
 void Link::EnqueueWaiter(ChannelWaiter waiter) {
   // Keep (priority desc, seq asc): an urgent transfer jumps ahead of queued
   // background chunks but never ahead of an equal-priority earlier arrival.
@@ -57,9 +66,7 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
 
   ++in_flight_;
   pending_ += size;
-  const obs::LabelSet labels = {{"link", name_}};
-  obs::SetGauge(obs_, "swapserve_link_in_flight", labels,
-                static_cast<double>(in_flight_));
+  in_flight_gauge_.Set(static_cast<double>(in_flight_));
   obs::Span span =
       obs::StartSpan(obs_, "transfer", "link", "link:" + name_);
   span.AddArg("bytes", std::to_string(size.count()));
@@ -83,14 +90,10 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
     co_await sim_.Delay(wire);
     done += this_chunk;
     pending_ -= this_chunk;
-    if (obs_ != nullptr) {
-      obs::IncCounter(obs_, "swapserve_link_transferred_bytes_total",
-                      labels, static_cast<double>(this_chunk.count()));
-      // Wire-occupancy accumulator: rate() of this against wall time is
-      // the link's bandwidth occupancy.
-      obs::IncCounter(obs_, "swapserve_link_busy_seconds_total", labels,
-                      wire.ToSeconds());
-    }
+    transferred_counter_.Increment(static_cast<double>(this_chunk.count()));
+    // Wire-occupancy accumulator: rate() of this against wall time is the
+    // link's bandwidth occupancy.
+    busy_counter_.Increment(wire.ToSeconds());
     ReleaseChannel();
     first = false;
     if (options.on_chunk) options.on_chunk(done, size);
@@ -99,8 +102,7 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
   total_ += size;
   ++transfers_;
   --in_flight_;
-  obs::SetGauge(obs_, "swapserve_link_in_flight", labels,
-                static_cast<double>(in_flight_));
+  in_flight_gauge_.Set(static_cast<double>(in_flight_));
 }
 
 sim::SimDuration Link::IdleTransferTime(Bytes size) const {

@@ -85,7 +85,7 @@ class Link {
   // Publish per-link bandwidth-occupancy gauges and transfer spans
   // (nullable). Occupancy is derived as busy-seconds over wall-seconds;
   // the cumulative counter lets scrapers rate() it.
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs);
 
   // Nullable. Fault point "hw.link": stall-only (a degraded or retrained
   // lane delays the transfer; hard transfer errors surface at the ckpt
@@ -127,6 +127,9 @@ class Link {
   void EnqueueWaiter(ChannelWaiter waiter);
 
   obs::Observability* obs_ = nullptr;
+  obs::GaugeHandle in_flight_gauge_;
+  obs::CounterHandle transferred_counter_;
+  obs::CounterHandle busy_counter_;
   fault::FaultInjector* fault_ = nullptr;
   sim::Simulation& sim_;
   std::string name_;

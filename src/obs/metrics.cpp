@@ -63,8 +63,12 @@ const std::vector<double>& DefaultBytesBuckets() {
 
 std::string MetricsRegistry::LabelKey(LabelSet labels) {
   std::sort(labels.begin(), labels.end());
+  return SortedLabelKey(labels);
+}
+
+std::string MetricsRegistry::SortedLabelKey(const LabelSet& sorted) {
   std::string key;
-  for (const auto& [k, v] : labels) {
+  for (const auto& [k, v] : sorted) {
     if (!key.empty()) key += ',';
     key += k;
     key += '=';
@@ -89,7 +93,7 @@ MetricsRegistry::Instrument& MetricsRegistry::Series(const std::string& name,
   LabelSet canonical = labels;
   std::sort(canonical.begin(), canonical.end());
   auto [sit, series_inserted] =
-      family.series.try_emplace(LabelKey(canonical));
+      family.series.try_emplace(SortedLabelKey(canonical));
   if (series_inserted) sit->second.labels = std::move(canonical);
   return sit->second;
 }

@@ -3,11 +3,18 @@
 //
 // A *family* is a metric name plus a type and help string; each distinct
 // label set under a family is one time series backed by a stable instrument
-// object. Call sites fetch the instrument once per event:
+// object. Get* canonicalizes the labels and walks two maps, so per-event
+// call sites do not call it per event: they hold a handle
+// (obs/observability.h) that resolves the series once and keeps the
+// instrument's address:
 //
-//   registry.GetCounter("swapserve_swaps_total",
-//                       {{"direction", "in"}, {"trigger", "demand"}})
-//       .Increment();
+//   obs::CounterHandle swaps_in(obs, "swapserve_swaps_total",
+//                               {{"direction", "in"}, {"trigger", "demand"}});
+//   swaps_in.Increment();  // first call creates the series
+//
+// Series are never erased, and each instrument lives behind a unique_ptr
+// in its map node, so a returned reference stays valid for the registry's
+// lifetime; handles depend on that.
 //
 // Families and series are stored in ordered maps so exporters (Prometheus
 // text exposition / JSON snapshot, see obs/exporters.h) emit deterministic
@@ -116,6 +123,9 @@ class MetricsRegistry {
   static std::string LabelKey(LabelSet labels);
 
  private:
+  // LabelKey of a label set that is already sorted.
+  static std::string SortedLabelKey(const LabelSet& sorted);
+
   Instrument& Series(const std::string& name, MetricType type,
                      const LabelSet& labels);
 

@@ -6,7 +6,8 @@
 // pointer to it. The helpers below are null-safe so instrumentation reads
 // as one line at the call site and compiles to nothing observable when the
 // component runs without telemetry (unit tests that construct layers
-// directly).
+// directly). The metric helpers look the series up on every call; per-event
+// sites hold the series handles further down instead.
 
 #pragma once
 
@@ -67,5 +68,88 @@ inline void Observe(Observability* obs, const std::string& name,
   if (obs == nullptr) return;
   obs->metrics.GetHistogram(name, labels, upper_bounds).Observe(value);
 }
+
+// --- resolve-once series handles --------------------------------------
+//
+// A handle names one series (metric name, labels and, for a histogram,
+// buckets) and resolves it through MetricsRegistry::Get* on first use —
+// exactly when the helper above would have created the series — then
+// caches the instrument, so later events pay neither a label-set
+// canonicalization nor a map walk, and allocate nothing. The cache relies
+// on the registry's invariant (obs/metrics.h): series are never erased and
+// instruments never move. A handle bound to a null Observability is a
+// no-op. Owners build their handles in BindObservability, so a rebind
+// drops every pointer cached from the previous registry.
+//
+// `name` is a string literal (it is stored, not copied); `upper_bounds`
+// must outlive the handle, as the shared bucket layouts do.
+
+class SeriesHandle {
+ protected:
+  SeriesHandle() = default;
+  SeriesHandle(Observability* obs, const char* name, LabelSet labels)
+      : obs_(obs), name_(name), labels_(std::move(labels)) {}
+
+  Observability* obs_ = nullptr;
+  const char* name_ = "";
+  LabelSet labels_;
+};
+
+class CounterHandle : SeriesHandle {
+ public:
+  CounterHandle() = default;
+  CounterHandle(Observability* obs, const char* name, LabelSet labels = {})
+      : SeriesHandle(obs, name, std::move(labels)) {}
+
+  void Increment(double delta = 1.0) {
+    if (obs_ == nullptr) return;
+    if (counter_ == nullptr) {
+      counter_ = &obs_->metrics.GetCounter(name_, labels_);
+    }
+    counter_->Increment(delta);
+  }
+
+ private:
+  Counter* counter_ = nullptr;
+};
+
+class GaugeHandle : SeriesHandle {
+ public:
+  GaugeHandle() = default;
+  GaugeHandle(Observability* obs, const char* name, LabelSet labels = {})
+      : SeriesHandle(obs, name, std::move(labels)) {}
+
+  void Set(double value) {
+    if (obs_ == nullptr) return;
+    if (gauge_ == nullptr) gauge_ = &obs_->metrics.GetGauge(name_, labels_);
+    gauge_->Set(value);
+  }
+
+ private:
+  Gauge* gauge_ = nullptr;
+};
+
+class HistogramHandle : SeriesHandle {
+ public:
+  HistogramHandle() = default;
+  HistogramHandle(Observability* obs, const char* name, LabelSet labels = {},
+                  const std::vector<double>& upper_bounds =
+                      DefaultLatencyBuckets())
+      : SeriesHandle(obs, name, std::move(labels)),
+        upper_bounds_(&upper_bounds) {}
+
+  void Observe(double value) {
+    if (obs_ == nullptr) return;
+    if (histogram_ == nullptr) {
+      histogram_ =
+          &obs_->metrics.GetHistogram(name_, labels_, *upper_bounds_);
+    }
+    histogram_->Observe(value);
+  }
+
+ private:
+  const std::vector<double>* upper_bounds_ = nullptr;
+  HistogramMetric* histogram_ = nullptr;
+};
 
 }  // namespace swapserve::obs

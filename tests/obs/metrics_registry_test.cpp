@@ -1,9 +1,15 @@
 // Metrics registry tests: fetch-or-create semantics, label
-// canonicalization, and histogram bucket accounting.
+// canonicalization, histogram bucket accounting, and the resolve-once
+// series handles built on them.
 
 #include "obs/metrics.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "obs/exporters.h"
+#include "obs/observability.h"
 
 namespace swapserve::obs {
 namespace {
@@ -105,6 +111,133 @@ TEST(MetricsRegistryTest, FamiliesIterateInNameOrder) {
   std::vector<std::string> names;
   for (const auto& [name, family] : reg.families()) names.push_back(name);
   EXPECT_EQ(names, (std::vector<std::string>{"aaa", "mmm", "zzz"}));
+}
+
+// --- series handles (obs/observability.h) --------------------------------
+
+TEST(SeriesHandleTest, CreatesNoSeriesBeforeFirstUse) {
+  sim::Simulation sim;
+  Observability obs(sim);
+  CounterHandle counter(&obs, "requests", {{"model", "m1"}});
+  GaugeHandle gauge(&obs, "depth", {{"model", "m1"}});
+  HistogramHandle histogram(&obs, "wait", {{"model", "m1"}});
+  EXPECT_EQ(obs.metrics.family_count(), 0u);
+  EXPECT_EQ(obs.metrics.series_count(), 0u);
+
+  counter.Increment();
+  EXPECT_EQ(obs.metrics.series_count(), 1u);
+  gauge.Set(3);
+  histogram.Observe(0.5);
+  EXPECT_EQ(obs.metrics.series_count(), 3u);
+  EXPECT_DOUBLE_EQ(
+      obs.metrics.GetCounter("requests", {{"model", "m1"}}).value(), 1.0);
+  EXPECT_DOUBLE_EQ(obs.metrics.GetGauge("depth", {{"model", "m1"}}).value(),
+                   3.0);
+  EXPECT_EQ(obs.metrics.GetHistogram("wait", {{"model", "m1"}}).count(), 1u);
+}
+
+TEST(SeriesHandleTest, LabelOrderDoesNotSplitTheSeries) {
+  sim::Simulation sim;
+  Observability obs(sim);
+  CounterHandle a(&obs, "swaps", {{"direction", "in"}, {"model", "m1"}});
+  CounterHandle b(&obs, "swaps", {{"model", "m1"}, {"direction", "in"}});
+  a.Increment();
+  b.Increment(2);
+  EXPECT_EQ(obs.metrics.series_count(), 1u);
+  EXPECT_DOUBLE_EQ(
+      obs.metrics.GetCounter("swaps", {{"direction", "in"}, {"model", "m1"}})
+          .value(),
+      3.0);
+}
+
+TEST(SeriesHandleTest, NullObservabilityIsANoOp) {
+  CounterHandle counter(nullptr, "requests", {{"model", "m1"}});
+  GaugeHandle gauge(nullptr, "depth");
+  HistogramHandle histogram(nullptr, "wait");
+  counter.Increment();
+  gauge.Set(1);
+  histogram.Observe(1);
+  // Default-constructed handles are unbound too.
+  CounterHandle unbound_counter;
+  GaugeHandle unbound_gauge;
+  HistogramHandle unbound_histogram;
+  unbound_counter.Increment();
+  unbound_gauge.Set(1);
+  unbound_histogram.Observe(1);
+}
+
+TEST(SeriesHandleTest, ResolvedInstrumentSurvivesLaterInsertions) {
+  sim::Simulation sim;
+  Observability obs(sim);
+  CounterHandle counter(&obs, "requests", {{"model", "m1"}});
+  GaugeHandle gauge(&obs, "depth", {{"model", "m1"}});
+  HistogramHandle histogram(&obs, "wait", {{"model", "m1"}});
+  counter.Increment();
+  gauge.Set(1);
+  histogram.Observe(1);
+  const Counter* counter_at = &obs.metrics.GetCounter("requests",
+                                                      {{"model", "m1"}});
+  const Gauge* gauge_at = &obs.metrics.GetGauge("depth", {{"model", "m1"}});
+  const HistogramMetric* histogram_at =
+      &obs.metrics.GetHistogram("wait", {{"model", "m1"}});
+
+  // 1,000 more series, in the same families and in new ones, force every
+  // map to rebalance around the cached instruments.
+  for (int i = 0; i < 1000; ++i) {
+    const std::string model = "m" + std::to_string(1000 + i);
+    obs.metrics.GetCounter(i % 2 == 0 ? "requests" : "f" + std::to_string(i),
+                           {{"model", model}});
+  }
+  counter.Increment();
+  gauge.Set(7);
+  histogram.Observe(2);
+  EXPECT_EQ(&obs.metrics.GetCounter("requests", {{"model", "m1"}}),
+            counter_at);
+  EXPECT_EQ(&obs.metrics.GetGauge("depth", {{"model", "m1"}}), gauge_at);
+  EXPECT_EQ(&obs.metrics.GetHistogram("wait", {{"model", "m1"}}),
+            histogram_at);
+  EXPECT_DOUBLE_EQ(counter_at->value(), 2.0);
+  EXPECT_DOUBLE_EQ(gauge_at->value(), 7.0);
+  EXPECT_EQ(histogram_at->count(), 2u);
+}
+
+TEST(SeriesHandleTest, HandlesAndHelpersExportIdentically) {
+  // One event sequence, driven once through the one-shot helpers and once
+  // through handles, must expose byte-identical text — including series
+  // created mid-sequence and custom histogram buckets.
+  const auto run = [](bool handles) {
+    sim::Simulation sim;
+    Observability obs(sim);
+    CounterHandle chunks(&obs, "swapserve_stream_chunks_total",
+                         {{"model", "m1"}});
+    GaugeHandle depth(&obs, "swapserve_queue_depth", {{"model", "m1"}});
+    HistogramHandle wait(&obs, "swapserve_queue_wait_seconds",
+                         {{"model", "m1"}});
+    HistogramHandle bytes(&obs, "swapserve_bytes", {{"gpu", "0"}},
+                          DefaultBytesBuckets());
+    for (int i = 0; i < 50; ++i) {
+      const double v = 0.001 * i * i;
+      if (handles) {
+        chunks.Increment();
+        if (i % 3 == 0) depth.Set(i);
+        if (i >= 10) wait.Observe(v);
+        if (i % 7 == 0) bytes.Observe(v * 1e9);
+      } else {
+        IncCounter(&obs, "swapserve_stream_chunks_total", {{"model", "m1"}});
+        if (i % 3 == 0) SetGauge(&obs, "swapserve_queue_depth",
+                                 {{"model", "m1"}}, i);
+        if (i >= 10) Observe(&obs, "swapserve_queue_wait_seconds",
+                             {{"model", "m1"}}, v);
+        if (i % 7 == 0) Observe(&obs, "swapserve_bytes", {{"gpu", "0"}},
+                                v * 1e9, DefaultBytesBuckets());
+      }
+    }
+    obs.metrics.SetHelp("swapserve_queue_depth", "Queued requests");
+    return ToPrometheusText(obs.metrics);
+  };
+  const std::string via_helpers = run(false);
+  EXPECT_FALSE(via_helpers.empty());
+  EXPECT_EQ(run(true), via_helpers);
 }
 
 }  // namespace
