@@ -28,6 +28,7 @@
 
 #include "core/engine_controller.h"
 #include "engine/factory.h"
+#include "fault/fault_injector.h"
 #include "fixture.h"
 #include "obs/observability.h"
 
@@ -308,6 +309,52 @@ TEST_P(SwapCrashTest, CrashAtEverySuspensionLeavesNoResidue) {
       EXPECT_EQ(cb.tm.PendingRelease(gpu), Bytes(0));
     }
   }
+}
+
+// A crash mid-pipeline frees every chunk restored so far (the driver's
+// sweep of the dead process); a chunk that then fails sends the pipelined
+// restore into its rollback, which must not free those chunks again.
+TEST(SwapCrashRollbackTest, ChunkFailureAfterMidPipelineCrashIsSwept) {
+  std::int64_t crash_at_ns = -1;
+  {
+    CrashBed ref;
+    std::vector<obs::TraceEvent> spans;
+    const Outcome out =
+        RunOnce(ref, SwapPath::kPipelinedSwapIn, std::nullopt, &spans);
+    ASSERT_TRUE(out.returned && out.status.ok()) << out.status;
+    for (const obs::TraceEvent& e : spans) {
+      if (e.name == "restore_pipeline") crash_at_ns = e.ts_ns + e.dur_ns / 2;
+    }
+  }
+  ASSERT_GT(crash_at_ns, 0) << "reference run has no restore_pipeline span";
+
+  CrashBed cb;
+  fault::FaultInjector injector(cb.bed.sim, /*seed=*/1);
+  cb.ckpt.BindFaultInjector(&injector);
+  Outcome out;
+  cb.bed.RunTask([&]() -> sim::Task<> {
+    co_await Prepare(cb, SwapPath::kPipelinedSwapIn);
+    // The bed and `out` outlive the run, which drains before return.
+    sim::Spawn([&cb, &out]() -> sim::Task<> {
+      out.status = co_await RunSwap(cb, SwapPath::kPipelinedSwapIn);
+      out.returned = true;
+    });
+    co_await cb.bed.sim.Delay(sim::SimDuration(crash_at_ns));
+    EXPECT_EQ(cb.a->engine->state(), engine::BackendState::kSwapping);
+    cb.a->engine->MarkCrashed("node lost power");
+    // Every chunk the pipeline starts from here on fails.
+    fault::FaultRule rule;
+    rule.point = "ckpt.chunk";
+    rule.owner = kModelA;
+    injector.Configure({.rules = {rule}});
+  });
+  ASSERT_TRUE(out.returned) << "swap never returned";
+  EXPECT_GT(injector.fires("ckpt.chunk"), 0u);
+  EXPECT_FALSE(out.status.ok());
+  EXPECT_EQ(cb.a->engine->state(), engine::BackendState::kCrashed);
+  EXPECT_EQ(cb.bed.gpus[0]->UsedBy(kModelA), Bytes(0));
+  EXPECT_EQ(cb.tm.OutstandingReserved(0), Bytes(0));
+  EXPECT_EQ(cb.tm.PendingRelease(0), Bytes(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(
