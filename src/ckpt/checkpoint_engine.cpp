@@ -44,11 +44,11 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
   const sim::SimTime start = sim_.Now();
   obs::Span swap_span =
       obs::StartSpan(obs_, "ckpt.swap_out", "ckpt", req.owner);
-  swap_span.AddArg("dirty_bytes", std::to_string(req.dirty_bytes.count()));
-  swap_span.AddArg("clean_bytes", std::to_string(req.clean_bytes.count()));
+  swap_span.AddArg("dirty_bytes", req.dirty_bytes.count());
+  swap_span.AddArg("clean_bytes", req.clean_bytes.count());
   if (pipelined) {
     swap_span.AddArg("chunk_bytes",
-                     std::to_string(pipeline.chunk_bytes.count()));
+                     pipeline.chunk_bytes.count());
   }
 
   // Injected checkpoint failure fires before the freeze, so the backend is
@@ -124,7 +124,7 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
     for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
       free_partial(rank, Shard(req.clean_bytes, gpus.size(), rank));
     }
-    phase.AddArg("freed_bytes", std::to_string(freed.count()));
+    phase.AddArg("freed_bytes", freed.count());
   }
 
   sim::SimTime d2h_start = sim_.Now();
@@ -181,7 +181,7 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
         pipeline.on_freed(gpu->id(), f);
       }
     }
-    phase.AddArg("freed_bytes", std::to_string(freed.count()));
+    phase.AddArg("freed_bytes", freed.count());
   }
 
   SWAP_LOG(kDebug, "ckpt") << "swap-out " << req.owner << ": freed "
@@ -251,11 +251,11 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   const bool pipelined = pipeline.chunk_bytes.count() > 0;
   obs::Span swap_span =
       obs::StartSpan(obs_, "ckpt.swap_in", "ckpt", snap.owner);
-  swap_span.AddArg("dirty_bytes", std::to_string(snap.dirty_bytes.count()));
-  swap_span.AddArg("clean_bytes", std::to_string(snap.clean_bytes.count()));
+  swap_span.AddArg("dirty_bytes", snap.dirty_bytes.count());
+  swap_span.AddArg("clean_bytes", snap.clean_bytes.count());
   if (pipelined) {
     swap_span.AddArg("chunk_bytes",
-                     std::to_string(pipeline.chunk_bytes.count()));
+                     pipeline.chunk_bytes.count());
   }
 
   const Bytes total = snap.clean_bytes + snap.dirty_bytes;
@@ -270,7 +270,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     //    a scheduling bug surfaced as a hard error (with rollback).
     {
       obs::Span phase = obs::StartSpan(obs_, "reserve", "ckpt", snap.owner);
-      phase.AddArg("bytes", std::to_string(total.count()));
+      phase.AddArg("bytes", total.count());
       for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
         Result<hw::AllocationId> alloc = gpus[rank]->Allocate(
             snap.owner, Shard(total, gpus.size(), rank), "restored-state");
@@ -290,7 +290,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     //    context restore + API health check) is paid once, at unlock.
     {
       obs::Span phase = obs::StartSpan(obs_, "h2d", "ckpt", snap.owner);
-      phase.AddArg("bytes", std::to_string(snap.dirty_bytes.count()));
+      phase.AddArg("bytes", snap.dirty_bytes.count());
       h2d_start = sim_.Now();
       if (snap.dirty_bytes.count() > 0) {
         std::vector<sim::Task<>> copies;
@@ -310,7 +310,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     }
     {
       obs::Span phase = obs::StartSpan(obs_, "remap", "ckpt", snap.owner);
-      phase.AddArg("bytes", std::to_string(snap.clean_bytes.count()));
+      phase.AddArg("bytes", snap.clean_bytes.count());
       co_await sim_.Delay(sim::Seconds(snap.restore.remap_bw.SecondsFor(
           Shard(snap.clean_bytes, gpus.size(), 0))));
     }
@@ -323,7 +323,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     // covers one chunk.
     obs::Span phase =
         obs::StartSpan(obs_, "restore_pipeline", "ckpt", snap.owner);
-    phase.AddArg("bytes", std::to_string(total.count()));
+    phase.AddArg("bytes", total.count());
     Status failure = Status::Ok();
     bool aborted = false;
     bool h2d_started = false;

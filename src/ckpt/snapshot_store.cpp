@@ -49,8 +49,9 @@ Result<SnapshotId> SnapshotStore::Put(Snapshot snapshot) {
     peak_used_ = std::max(peak_used_, used_);
   }
   const SnapshotId id = snapshot.id;
-  const std::string owner = snapshot.owner;
-  snapshots_.emplace(id, std::move(snapshot));
+  // Map nodes never move, so the owner is read in place.
+  const std::string& owner =
+      snapshots_.emplace(id, std::move(snapshot)).first->second.owner;
   PublishGauges();
   // Silent corruption at write time: the Put succeeds, the damage only
   // surfaces when a restore verifies the checksum. Remote placeholders
@@ -194,7 +195,13 @@ Result<Snapshot> SnapshotStore::FindByOwner(const std::string& owner) const {
 }
 
 void SnapshotStore::BindObservability(obs::Observability* obs) {
-  obs_ = obs;
+  gauges_ = Gauges{
+      .bytes = {obs, "swapserve_snapshot_store_bytes"},
+      .budget_bytes = {obs, "swapserve_snapshot_store_budget_bytes"},
+      .count = {obs, "swapserve_snapshot_store_count"},
+      .nvme_bytes = {obs, "swapserve_snapshot_store_nvme_bytes"},
+      .remote_bytes = {obs, "swapserve_snapshot_store_remote_bytes"},
+  };
   PublishGauges();
 }
 
@@ -202,18 +209,12 @@ void SnapshotStore::BindFaultInjector(fault::FaultInjector* injector) {
   fault_ = injector;
 }
 
-void SnapshotStore::PublishGauges() const {
-  if (obs_ == nullptr) return;
-  obs::SetGauge(obs_, "swapserve_snapshot_store_bytes", {},
-                static_cast<double>(used_.count()));
-  obs::SetGauge(obs_, "swapserve_snapshot_store_budget_bytes", {},
-                static_cast<double>(budget_.count()));
-  obs::SetGauge(obs_, "swapserve_snapshot_store_count", {},
-                static_cast<double>(snapshots_.size()));
-  obs::SetGauge(obs_, "swapserve_snapshot_store_nvme_bytes", {},
-                static_cast<double>(nvme_used_.count()));
-  obs::SetGauge(obs_, "swapserve_snapshot_store_remote_bytes", {},
-                static_cast<double>(remote_bytes_.count()));
+void SnapshotStore::PublishGauges() {
+  gauges_.bytes.Set(static_cast<double>(used_.count()));
+  gauges_.budget_bytes.Set(static_cast<double>(budget_.count()));
+  gauges_.count.Set(static_cast<double>(snapshots_.size()));
+  gauges_.nvme_bytes.Set(static_cast<double>(nvme_used_.count()));
+  gauges_.remote_bytes.Set(static_cast<double>(remote_bytes_.count()));
 }
 
 std::vector<Snapshot> SnapshotStore::All() const {

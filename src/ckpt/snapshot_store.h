@@ -108,9 +108,17 @@ class SnapshotStore {
   void BindFaultInjector(fault::FaultInjector* injector);
 
  private:
-  void PublishGauges() const;
+  void PublishGauges();
 
-  obs::Observability* obs_ = nullptr;
+  // Occupancy gauges, no-ops until BindObservability.
+  struct Gauges {
+    obs::GaugeHandle bytes;
+    obs::GaugeHandle budget_bytes;
+    obs::GaugeHandle count;
+    obs::GaugeHandle nvme_bytes;
+    obs::GaugeHandle remote_bytes;
+  };
+  Gauges gauges_;
   fault::FaultInjector* fault_ = nullptr;
   Bytes budget_;
   Bytes used_{0};

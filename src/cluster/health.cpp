@@ -57,7 +57,7 @@ void HealthMonitor::Transition(Node& node, NodeState to) {
                 static_cast<double>(to));
   obs::Instant(obs, "membership:" + std::string(NodeStateName(to)),
                "cluster", node.name(),
-               {{"from", std::string(NodeStateName(from))}});
+               {{"from", NodeStateName(from)}});
   SWAP_LOG(kInfo, "cluster")
       << node.name() << " membership " << NodeStateName(from) << " -> "
       << NodeStateName(to);

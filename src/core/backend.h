@@ -116,6 +116,10 @@ struct Backend {
     obs::HistogramHandle queue_wait;
     obs::HistogramHandle reservation_wait;
     obs::CounterHandle stream_chunks;
+    // swapserve_swap_latency_seconds{direction,model}, recorded through
+    // Metrics::RecordSwapOut / RecordSwapIn.
+    obs::HistogramHandle swap_out_latency;
+    obs::HistogramHandle swap_in_latency;
   };
   Series series;
 
@@ -128,6 +132,10 @@ struct Backend {
                              {{"model", name()}}},
         .stream_chunks = {obs, "swapserve_stream_chunks_total",
                           {{"model", name()}}},
+        .swap_out_latency = {obs, "swapserve_swap_latency_seconds",
+                             {{"direction", "out"}, {"model", name()}}},
+        .swap_in_latency = {obs, "swapserve_swap_latency_seconds",
+                            {{"direction", "in"}, {"model", name()}}},
     };
   }
 };

@@ -118,7 +118,8 @@ Status EngineController::CommitSwapOut(
   backend.has_snapshot = true;
   backend.resident_bytes = resident;
   SWAP_CHECK(backend.engine->MarkSwappedOut().ok());
-  metrics_.RecordSwapOut(backend.name(), elapsed.ToSeconds(), preemption);
+  metrics_.RecordSwapOut(backend.series.swap_out_latency, elapsed.ToSeconds(),
+                         preemption);
   return Status::Ok();
 }
 
@@ -200,7 +201,7 @@ sim::Task<Status> EngineController::FinishRestore(
   if (!after.ok()) co_return after;
   SWAP_CHECK(backend.engine->MarkRunning().ok());
   backend.health.last_resident = sim_.Now();
-  metrics_.RecordSwapIn(backend.name(),
+  metrics_.RecordSwapIn(backend.series.swap_in_latency,
                         (ready.value_or(sim_.Now()) - start).ToSeconds());
   co_return Status::Ok();
 }
@@ -419,8 +420,8 @@ sim::Task<Result<SwapOverResult>> EngineController::SwapOver(Backend& out,
   }
   obs::Observe(obs_, "swapserve_pipeline_stall_seconds",
                {{"model", in.name()}}, ir.stall.ToSeconds());
-  span.AddArg("overlap_s", std::to_string(overlap.ToSeconds()));
-  span.AddArg("stall_s", std::to_string(ir.stall.ToSeconds()));
+  span.AddArg("overlap_s", overlap.ToSeconds());
+  span.AddArg("stall_s", ir.stall.ToSeconds());
   SWAP_LOG(kInfo, "controller")
       << "swap-over " << out.name() << " -> " << in.name() << ": ready in "
       << over.elapsed.ToString() << " (overlap " << overlap.ToString()
@@ -490,12 +491,12 @@ sim::Task<Bytes> EngineController::ReclaimMemory(
         Bytes(victim->engine->GpuResidentBytes().count() /
               victim->engine->tp_degree());
     obs::Instant(obs_, "preempt:" + victim->name(), "controller",
-                 "gpu" + std::to_string(gpu),
+                 task_manager_.Track(gpu),
                  {{"victim", victim->name()},
                   {"requester", requester},
-                  {"victim_demand", std::to_string(victim->Demand())},
-                  {"frees_bytes", std::to_string(victim_resident.count())},
-                  {"needed_bytes", std::to_string(needed.count())}});
+                  {"victim_demand", victim->Demand()},
+                  {"frees_bytes", victim_resident.count()},
+                  {"needed_bytes", needed.count()}});
     SWAP_LOG(kInfo, "controller")
         << "preempting " << victim->name() << " (demand "
         << victim->Demand() << ", " << victim_resident.ToString()

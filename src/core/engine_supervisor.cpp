@@ -151,8 +151,8 @@ sim::Task<Status> EngineSupervisor::Recover(Backend& backend) {
       metrics_.RecordRecovery(backend.name(), "restart", elapsed);
       obs::Instant(obs_, "recovered:" + backend.name(), "supervisor",
                    backend.name(),
-                   {{"elapsed_s", std::to_string(elapsed)},
-                    {"attempts", std::to_string(attempt)}});
+                   {{"elapsed_s", elapsed},
+                    {"attempts", attempt}});
       SWAP_LOG(kInfo, "supervisor")
           << backend.name() << ": recovered after " << attempt
           << " attempt(s) in " << (sim_.Now() - t0).ToString();
@@ -177,7 +177,7 @@ sim::Task<Status> EngineSupervisor::Recover(Backend& backend) {
   }
   metrics_.RecordQuarantine(backend.name());
   obs::Instant(obs_, "quarantined:" + backend.name(), "supervisor",
-               backend.name(), {{"cause", std::string(last.message())}});
+               backend.name(), {{"cause", last.message()}});
   SWAP_LOG(kError, "supervisor")
       << backend.name() << ": quarantined after "
       << options_.restart_policy.max_attempts

@@ -30,6 +30,11 @@ ModelSeries::ModelSeries(obs::Observability* obs, const std::string& model)
 
 void Metrics::BindObservability(obs::Observability* obs) {
   obs_ = obs;
+  swaps_out_explicit_ = {obs, kSwapsTotal,
+                         {{"direction", "out"}, {"trigger", "explicit"}}};
+  swaps_out_preemption_ = {obs, kSwapsTotal,
+                           {{"direction", "out"}, {"trigger", "preemption"}}};
+  swaps_in_ = {obs, kSwapsTotal, {{"direction", "in"}, {"trigger", "demand"}}};
   requests_help_set_ = false;
   for (auto& [model, mm] : per_model_) mm.series = ModelSeries();
 }
@@ -102,25 +107,21 @@ void Metrics::RecordExpired(const std::string& model) {
   CountRequest(mm.series.expired);
 }
 
-void Metrics::RecordSwapOut(const std::string& model, double latency_s,
-                            bool preemption) {
+void Metrics::RecordSwapOut(obs::HistogramHandle& latency_series,
+                            double latency_s, bool preemption) {
   ++swap_outs;
   if (preemption) ++preemptions;
   swap_out_latency_s.Add(latency_s);
-  obs::IncCounter(obs_, kSwapsTotal,
-                  {{"direction", "out"},
-                   {"trigger", preemption ? "preemption" : "explicit"}});
-  obs::Observe(obs_, kSwapLatency,
-               {{"direction", "out"}, {"model", model}}, latency_s);
+  (preemption ? swaps_out_preemption_ : swaps_out_explicit_).Increment();
+  latency_series.Observe(latency_s);
 }
 
-void Metrics::RecordSwapIn(const std::string& model, double latency_s) {
+void Metrics::RecordSwapIn(obs::HistogramHandle& latency_series,
+                           double latency_s) {
   ++swap_ins;
   swap_in_latency_s.Add(latency_s);
-  obs::IncCounter(obs_, kSwapsTotal,
-                  {{"direction", "in"}, {"trigger", "demand"}});
-  obs::Observe(obs_, kSwapLatency, {{"direction", "in"}, {"model", model}},
-               latency_s);
+  swaps_in_.Increment();
+  latency_series.Observe(latency_s);
 }
 
 void Metrics::RecordSwapOver(const std::string& out_model,

@@ -81,9 +81,13 @@ class Metrics {
   void RecordExpired(const std::string& model);
 
   // --- swap outcomes (from the engine controller) -----------------------
-  void RecordSwapOut(const std::string& model, double latency_s,
+  // `latency_series` is the swapped model's
+  // swapserve_swap_latency_seconds{direction,model} handle, held on its
+  // Backend; swap outcomes never create a per-model entry here, since the
+  // §3.2 initialization snapshots run before any request.
+  void RecordSwapOut(obs::HistogramHandle& latency_series, double latency_s,
                      bool preemption);
-  void RecordSwapIn(const std::string& model, double latency_s);
+  void RecordSwapIn(obs::HistogramHandle& latency_series, double latency_s);
   // Combined pipelined swap-over (eviction D2H overlapped with restore
   // H2D). `latency_s` is swap-out start -> incoming model ready;
   // `overlap_s` is the window both directions were moving bytes.
@@ -140,6 +144,10 @@ class Metrics {
 
   std::map<std::string, ModelMetrics> per_model_;
   obs::Observability* obs_ = nullptr;
+  // swapserve_swaps_total by {direction, trigger}.
+  obs::CounterHandle swaps_out_explicit_;
+  obs::CounterHandle swaps_out_preemption_;
+  obs::CounterHandle swaps_in_;
   bool requests_help_set_ = false;
 };
 

@@ -46,8 +46,8 @@ Result<ResponseChannelPtr> RequestHandler::Accept(InferenceRequest request) {
       metrics_.RecordShed(request.model, request.slo_class);
       obs::Instant(obs_, "shed:admission", "handler", request.model,
                    {{"slo_class", request.slo_class.empty()
-                                      ? "default"
-                                      : request.slo_class}});
+                                      ? std::string_view("default")
+                                      : std::string_view(request.slo_class)}});
       return ResourceExhausted("admission: " + request.model + ": " +
                                shed_reason);
     }
@@ -63,19 +63,24 @@ Result<ResponseChannelPtr> RequestHandler::Accept(InferenceRequest request) {
   }
   backend->last_accessed = sim_.Now();
 
+  // The request moves into the queue (TrySend consumes it either way), so
+  // what is reported afterwards comes from `id` and the backend's name,
+  // which is the request's model.
+  const RequestId id = request.id;
+  const std::string& model = backend->name();
   auto channel = std::make_shared<ResponseChannel>(sim_, /*capacity=*/128);
-  QueuedRequest item{.request = request, .response = channel};
+  QueuedRequest item{.request = std::move(request), .response = channel};
   if (!backend->queue->TrySend(std::move(item))) {
-    metrics_.RecordRejected(request.model);
-    obs::Instant(obs_, "reject:queue_full", "handler", request.model,
-                 {{"request_id", std::to_string(request.id)}});
-    return ResourceExhausted("queue for " + request.model + " is full");
+    metrics_.RecordRejected(model);
+    obs::Instant(obs_, "reject:queue_full", "handler", model,
+                 {{"request_id", id}});
+    return ResourceExhausted("queue for " + model + " is full");
   }
   backend->series.queue_depth.Set(
       static_cast<double>(backend->queue->size()));
   if (arrival_hook_) arrival_hook_(*backend);
-  SWAP_LOG(kDebug, "handler") << "accepted request " << request.id << " for "
-                              << request.model;
+  SWAP_LOG(kDebug, "handler") << "accepted request " << id << " for "
+                              << model;
   return channel;
 }
 

@@ -133,7 +133,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
       place_span = obs::StartSpan(obs_, "scheduler.place", "scheduler",
                                   backend.name());
       place_span.AddArg("bytes",
-                        std::to_string(backend.resident_bytes.count()));
+                        backend.resident_bytes.count());
       const sim::SimTime reserve_start = sim_.Now();
       const std::vector<hw::GpuId> gpu_ids = backend.GpuIds();
       const auto tp = static_cast<std::int64_t>(gpu_ids.size());

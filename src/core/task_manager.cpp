@@ -12,7 +12,9 @@ TaskManager::TaskManager(sim::Simulation& sim,
     : sim_(sim), gpus_(std::move(gpus)) {
   SWAP_CHECK_MSG(!gpus_.empty(), "task manager needs at least one GPU");
   for (hw::GpuDevice* gpu : gpus_) {
-    queues_[gpu->id()].device = gpu;
+    GpuQueue& q = queues_[gpu->id()];
+    q.device = gpu;
+    q.track = "gpu" + std::to_string(gpu->id());
   }
 }
 
@@ -56,10 +58,10 @@ sim::Task<Result<TaskManager::Reservation>> TaskManager::Reserve(
   waiter.bytes = bytes;
   waiter.ticket = next_ticket_++;
   q.waiters.push_back(&waiter);
-  obs::Span wait_span = obs::StartSpan(obs_, "tm.reserve_wait", "task-mgr",
-                                       "gpu" + std::to_string(gpu));
+  obs::Span wait_span =
+      obs::StartSpan(obs_, "tm.reserve_wait", "task-mgr", q.track);
   wait_span.AddArg("owner", waiter.owner);
-  wait_span.AddArg("bytes", std::to_string(bytes.count()));
+  wait_span.AddArg("bytes", bytes.count());
   PublishGauges(gpu);
   Pump(gpu);
   co_await waiter.event.Wait();
@@ -112,6 +114,7 @@ void TaskManager::BindObservability(obs::Observability* obs) {
     q.queue_depth_gauge = {obs, "swapserve_reservation_queue_depth", labels};
     q.pending_release_gauge = {obs, "swapserve_gpu_pending_release_bytes",
                                labels};
+    q.reclaims = {obs, "swapserve_reclaims_total", labels};
   }
 }
 
@@ -162,8 +165,7 @@ sim::Task<> TaskManager::ReclaimForHead(hw::GpuId gpu) {
 
   Bytes freed(0);
   if (delegate_ != nullptr && needed.count() > 0) {
-    obs::IncCounter(obs_, "swapserve_reclaims_total",
-                    {{"gpu", std::to_string(gpu)}});
+    q.reclaims.Increment();
     freed = co_await delegate_->ReclaimMemory(gpu, needed,
                                               q.waiters.front()->owner);
   }

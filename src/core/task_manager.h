@@ -114,6 +114,8 @@ class TaskManager {
   void WithdrawPendingRelease(hw::GpuId gpu, Bytes bytes);
   void NotifyMemoryReleased(hw::GpuId gpu, Bytes released);
   Bytes PendingRelease(hw::GpuId gpu) const;
+  // The GPU's trace track name, "gpu<N>".
+  const std::string& Track(hw::GpuId gpu) const { return Queue(gpu).track; }
 
   // Emit reserve-wait spans, reserved-bytes gauges, and reclaim counters
   // (nullable).
@@ -142,9 +144,11 @@ class TaskManager {
     Bytes pending_release{0};
     std::deque<Waiter*> waiters;
     bool reclaiming = false;
+    std::string track;  // "gpu<N>", the trace track of this queue
     obs::GaugeHandle reserved_gauge;
     obs::GaugeHandle queue_depth_gauge;
     obs::GaugeHandle pending_release_gauge;
+    obs::CounterHandle reclaims;
   };
 
   void ReleaseReservation(hw::GpuId gpu, Bytes bytes);

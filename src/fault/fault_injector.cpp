@@ -67,9 +67,9 @@ FaultDecision FaultInjector::Evaluate(std::string_view point,
                     {{"point", std::string(point)},
                      {"owner", std::string(owner)}});
     obs::Instant(obs_, "fault:" + std::string(point), "fault",
-                 std::string(owner.empty() ? point : owner),
-                 {{"code", std::string(StatusCodeName(rule.code))},
-                  {"stall_s", std::to_string(rule.stall_s)}});
+                 owner.empty() ? point : owner,
+                 {{"code", StatusCodeName(rule.code)},
+                  {"stall_s", rule.stall_s}});
     SWAP_LOG(kInfo, "fault")
         << "injected " << point << (owner.empty() ? "" : " on ") << owner
         << " -> "

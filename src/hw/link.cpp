@@ -11,6 +11,7 @@ Link::Link(sim::Simulation& sim, std::string name, BytesPerSecond bandwidth,
            sim::SimDuration setup_latency)
     : sim_(sim),
       name_(std::move(name)),
+      track_("link:" + name_),
       bandwidth_(bandwidth),
       setup_latency_(setup_latency) {}
 
@@ -67,13 +68,12 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
   ++in_flight_;
   pending_ += size;
   in_flight_gauge_.Set(static_cast<double>(in_flight_));
-  obs::Span span =
-      obs::StartSpan(obs_, "transfer", "link", "link:" + name_);
-  span.AddArg("bytes", std::to_string(size.count()));
+  obs::Span span = obs::StartSpan(obs_, "transfer", "link", track_);
+  span.AddArg("bytes", size.count());
   if (chunked) {
-    span.AddArg("chunk_bytes", std::to_string(chunk.count()));
+    span.AddArg("chunk_bytes", chunk.count());
     span.AddArg("priority",
-                std::to_string(static_cast<int>(options.priority)));
+                static_cast<int>(options.priority));
   }
 
   Bytes done(0);
@@ -82,7 +82,7 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
     const Bytes this_chunk = std::min(chunk, size - done);
     co_await AcquireChannel(options.priority);
     obs::Span chunk_span =
-        chunked ? obs::StartSpan(obs_, "chunk", "link", "link:" + name_)
+        chunked ? obs::StartSpan(obs_, "chunk", "link", track_)
                 : obs::Span();
     const sim::SimDuration wire =
         (first ? setup : sim::SimDuration(0)) +

@@ -133,6 +133,7 @@ class Link {
   fault::FaultInjector* fault_ = nullptr;
   sim::Simulation& sim_;
   std::string name_;
+  std::string track_;  // "link:<name>", the trace track of every transfer
   BytesPerSecond bandwidth_;
   sim::SimDuration setup_latency_;
   bool channel_busy_ = false;

@@ -6,12 +6,17 @@
 // pointer to it. The helpers below are null-safe so instrumentation reads
 // as one line at the call site and compiles to nothing observable when the
 // component runs without telemetry (unit tests that construct layers
-// directly). The metric helpers look the series up on every call; per-event
-// sites hold the series handles further down instead.
+// directly). The trace helpers take views and typed args (obs/trace.h):
+// literals and owner-held names reach the recorder without a copy, and a
+// disabled recorder returns before it interns anything. The metric helpers
+// look the series up on every call; per-event sites hold the series handles
+// further down instead.
 
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,20 +38,17 @@ struct Observability {
 
 // --- null-safe instrumentation helpers ---------------------------------
 
-inline Span StartSpan(Observability* obs, std::string name,
-                      std::string category, std::string track) {
+inline Span StartSpan(Observability* obs, std::string_view name,
+                      std::string_view category, std::string_view track) {
   if (obs == nullptr) return Span();
-  return obs->trace.StartSpan(std::move(name), std::move(category),
-                              std::move(track));
+  return obs->trace.StartSpan(name, category, track);
 }
 
-inline void Instant(
-    Observability* obs, std::string name, std::string category,
-    std::string track,
-    std::vector<std::pair<std::string, std::string>> args = {}) {
+inline void Instant(Observability* obs, std::string_view name,
+                    std::string_view category, std::string_view track,
+                    std::initializer_list<TraceArg> args = {}) {
   if (obs == nullptr) return;
-  obs->trace.Instant(std::move(name), std::move(category), std::move(track),
-                     std::move(args));
+  obs->trace.Instant(name, category, track, args);
 }
 
 inline void IncCounter(Observability* obs, const std::string& name,

@@ -101,6 +101,51 @@ std::string RunFig6aScenario(double host_cache_mib, bool prefetch,
   return out.str();
 }
 
+// The fig6a scenario driven through the OpenAI router: the same four
+// requests arrive as JSON bodies through OpenAiRouter::ChatCompletions, so
+// the router.* spans (auth, validate, enqueue) are pinned as well.
+std::string RunFig6aRouterScenario() {
+  TestBed bed;
+  Config cfg = bed.MakeConfig(
+      {{"llama-3.2-1b-fp16", "vllm"}, {"llama-3.1-8b-fp16", "vllm"}});
+  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
+  // 240 characters in one message estimate to 240 / 4 + 4 = 64 prompt
+  // tokens, the prompt size the ChatAndWait goldens use.
+  const std::string content(240, 'x');
+  bed.RunTask([&]() -> sim::Task<> {
+    SWAP_CHECK((co_await serve.Initialize()).ok());
+    for (int round = 0; round < 2; ++round) {
+      for (const ModelEntry& entry : cfg.models) {
+        const std::string body =
+            R"({"model":")" + entry.model_id +
+            R"(","messages":[{"role":"user","content":")" + content +
+            R"("}],"max_tokens":16,"stream":false})";
+        Result<ResponseChannelPtr> channel =
+            serve.router().ChatCompletions(body);
+        SWAP_CHECK_MSG(channel.ok(), channel.status().ToString());
+        ChatResult r = co_await SwapServe::CollectResponse(*channel);
+        SWAP_CHECK_MSG(r.ok, r.error);
+      }
+    }
+    serve.Shutdown();
+  });
+
+  std::ostringstream out;
+  out << "# swapserve golden trace v1\n";
+  out << "# scenario: fig6a two-model vllm contention, 2 rounds, "
+         "JSON bodies through the router\n";
+  const std::vector<obs::TraceEvent> events = serve.obs().trace.Snapshot();
+  SWAP_CHECK_MSG(serve.obs().trace.dropped() == 0,
+                 "trace ring wrapped; golden stream is incomplete");
+  for (const obs::TraceEvent& e : events) AppendEvent(out, e);
+  out << "# totals\n";
+  out << "completed=" << serve.metrics().TotalCompleted()
+      << " failed=" << serve.metrics().TotalFailed()
+      << " swap_outs=" << serve.ckpt_engine().swap_out_count()
+      << " swap_ins=" << serve.ckpt_engine().swap_in_count() << '\n';
+  return out.str();
+}
+
 // The same fig6a scenario, but assembled through the cluster layer with
 // cluster.nodes = 1 (the default). The node owns its hardware, so totals
 // serialize from the node's devices; everything else must line up with
@@ -204,6 +249,12 @@ TEST(GoldenTraceTest, Fig6aEventStreamMatchesGolden) {
 TEST(GoldenTraceTest, Fig6aPipelinedEventStreamMatchesGolden) {
   ExpectGoldenMatch("fig6a_pipelined_trace",
                     RunFig6aScenario(0.0, false, /*pipelined=*/true));
+}
+
+// The fig6a requests as JSON bodies through the router, pinning the
+// router.* spans the ChatAndWait goldens never emit.
+TEST(GoldenTraceTest, Fig6aRouterEventStreamMatchesGolden) {
+  ExpectGoldenMatch("fig6a_router_trace", RunFig6aRouterScenario());
 }
 
 // Determinism gate for the harness itself: two runs of the scenario must

@@ -12,7 +12,7 @@
 //     derived deterministically from the cluster seed).
 //
 // Labeled `chaos` (runs with scripts/check_chaos.sh under asan/tsan) and
-// `cluster` (runs with scripts/check_cluster.sh).
+// `cluster` (runs with `scripts/check.sh cluster`).
 
 #include <string>
 #include <utility>

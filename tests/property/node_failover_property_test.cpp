@@ -16,7 +16,8 @@
 //     deterministically from the cluster seed).
 //
 // Labeled `chaos` (runs with scripts/check_chaos.sh under asan/tsan) and
-// `cluster` (runs with scripts/check_cluster.sh and check_failover.sh).
+// `cluster` (runs with `scripts/check.sh cluster` and
+// `scripts/check.sh failover`).
 
 #include <string>
 #include <utility>
