@@ -1,8 +1,7 @@
 // Request-plane microbenchmark (DESIGN.md §16): wall-clock cost of parsing
 // and dispatching one /v1/chat/completions request, comparing the legacy
 // DOM path ("pre": json::Parse into a Value tree, then validate + submit)
-// against the zero-copy in-situ Document the router now uses ("post"), plus
-// the tree-free SAX pass for reference.
+// against the zero-copy in-situ Document the router now uses ("post").
 //
 // Two layers per strategy:
 //   parse_*     the JSON layer alone, one realistic body per iteration
@@ -34,7 +33,6 @@
 #include "core/swap_serve.h"
 #include "json/document.h"
 #include "json/json.h"
-#include "json/stream_parser.h"
 #include "util/table.h"
 
 // --- allocation counting ---------------------------------------------------
@@ -97,32 +95,31 @@ Sample Measure(int n, F&& fn) {
   return s;
 }
 
-// Event-counting SAX handler: the cheapest possible full validation pass.
-class CountingHandler : public json::SaxHandler {
- public:
-  bool OnNull() override { return Tick(); }
-  bool OnBool(bool) override { return Tick(); }
-  bool OnNumber(double, bool, std::int64_t) override { return Tick(); }
-  bool OnString(std::string_view s) override {
-    chars_ += static_cast<std::int64_t>(s.size());
-    return Tick();
+// The legacy token estimate off the Value tree: the rule of
+// OpenAiRouter::EstimatePromptTokens (chars of string content and of part
+// text / 4, plus 4 per object message), walked over the DOM.
+std::int64_t DomEstimatePromptTokens(const json::Value& messages) {
+  std::int64_t chars = 0;
+  std::int64_t message_count = 0;
+  for (const json::Value& msg : messages.AsArray()) {
+    if (!msg.is_object()) continue;
+    ++message_count;
+    const json::Value* content = msg.Find("content");
+    if (content == nullptr) continue;
+    if (content->is_string()) {
+      chars += static_cast<std::int64_t>(content->AsString().size());
+    } else if (content->is_array()) {
+      for (const json::Value& part : content->AsArray()) {
+        if (!part.is_object()) continue;
+        const json::Value* text = part.Find("text");
+        if (text != nullptr && text->is_string()) {
+          chars += static_cast<std::int64_t>(text->AsString().size());
+        }
+      }
+    }
   }
-  bool OnKey(std::string_view) override { return Tick(); }
-  bool OnStartObject() override { return Tick(); }
-  bool OnEndObject(std::size_t) override { return Tick(); }
-  bool OnStartArray() override { return Tick(); }
-  bool OnEndArray(std::size_t) override { return Tick(); }
-  std::int64_t events() const { return events_; }
-  std::int64_t chars() const { return chars_; }
-
- private:
-  bool Tick() {
-    ++events_;
-    return true;
-  }
-  std::int64_t events_ = 0;
-  std::int64_t chars_ = 0;
-};
+  return std::max<std::int64_t>(1, chars / 4 + message_count * 4);
+}
 
 // The legacy dispatch path, reproduced: full DOM parse, tree validation,
 // token estimate off the Value, then Submit. This is what ChatCompletions
@@ -146,7 +143,7 @@ Result<core::ResponseChannelPtr> DomDispatch(core::OpenAiRouter& router,
   }
   core::InferenceRequest request;
   request.model = model;
-  request.prompt_tokens = core::OpenAiRouter::EstimatePromptTokens(*messages);
+  request.prompt_tokens = DomEstimatePromptTokens(*messages);
   request.max_tokens = body->GetInt("max_tokens", 128);
   request.temperature = body->GetDouble("temperature", 1.0);
   request.seed = static_cast<std::uint64_t>(body->GetInt("seed", 0));
@@ -165,9 +162,9 @@ int main() {
 
   PrintHeader("Request plane: parse + dispatch cost per request",
               "pre = DOM Value tree (legacy router path), post = in-situ "
-              "Document (zero-copy views, recycled arena), sax = tree-free "
-              "event pass. Dispatch rows add validation, admission, and the "
-              "handler enqueue on top of the parse.");
+              "Document (zero-copy views, recycled arena). Dispatch rows add "
+              "validation, admission, and the handler enqueue on top of the "
+              "parse.");
 
   int n = 1000000;
   if (const char* env = std::getenv("SWAPSERVE_BENCH_N"); env != nullptr) {
@@ -190,11 +187,6 @@ int main() {
     sink += doc.ParseInSitu(scratch).ok()
                 ? static_cast<std::int64_t>(doc.root().size())
                 : 0;
-  });
-
-  const Sample parse_sax = Measure(n, [&] {
-    CountingHandler handler;
-    sink += json::ParseSax(kBody, handler).ok() ? handler.events() : 0;
   });
 
   // --- dispatch layer ------------------------------------------------------
@@ -232,7 +224,6 @@ int main() {
   };
   row("parse_dom (pre)", parse_dom, parse_dom.us_per_request);
   row("parse_insitu (post)", parse_insitu, parse_dom.us_per_request);
-  row("parse_sax", parse_sax, parse_dom.us_per_request);
   row("dispatch_dom (pre)", dispatch_dom, dispatch_dom.us_per_request);
   row("dispatch_insitu (post)", dispatch_insitu, dispatch_dom.us_per_request);
   table.Print(std::cout);
@@ -248,8 +239,6 @@ int main() {
             {"parse_dom_allocs", parse_dom.allocs_per_request},
             {"parse_insitu_us", parse_insitu.us_per_request},
             {"parse_insitu_allocs", parse_insitu.allocs_per_request},
-            {"parse_sax_us", parse_sax.us_per_request},
-            {"parse_sax_allocs", parse_sax.allocs_per_request},
             {"dispatch_dom_us", dispatch_dom.us_per_request},
             {"dispatch_dom_allocs", dispatch_dom.allocs_per_request},
             {"dispatch_insitu_us", dispatch_insitu.us_per_request},

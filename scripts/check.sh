@@ -14,6 +14,13 @@
 #   failover  functional failover suite, the 100-seed node-failure
 #             chaos-property suite and the golden suite (fault-free runs
 #             must stay byte-identical) under default + asan + tsan.
+#   chaos     the randomized fault-injection property suites under asan
+#             (address + undefined) then tsan: a fault schedule that leaks
+#             a reservation, double-frees an allocation, or races a
+#             recovery path surfaces here rather than in the plain build.
+#   lint      swaplint's sweep of the production tree (any finding not
+#             parked in tools/swaplint/baseline.txt fails) plus the
+#             fixture self-tests, in the default build.
 #
 # To refresh the golden files after an intentional behavior change:
 #   SWAPSERVE_UPDATE_GOLDEN=1 scripts/check.sh golden
@@ -29,7 +36,7 @@
 set -euo pipefail
 
 usage() {
-  echo "usage: $0 <golden|cluster|failover> [extra ctest args...]" >&2
+  echo "usage: $0 <golden|cluster|failover|chaos|lint> [extra ctest args...]" >&2
   exit 2
 }
 
@@ -50,6 +57,16 @@ case "$suite" in
     targets="failover_test property_node_failover_test golden_trace_test"
     labels="cluster|golden"
     presets="default asan tsan"
+    ;;
+  chaos)
+    targets="property_chaos_test property_cluster_test property_node_failover_test property_tiered_fleet_chaos_test"
+    labels="chaos"
+    presets="asan tsan"
+    ;;
+  lint)
+    targets="swaplint lint_fixture_test"
+    labels="lint"
+    presets="default"
     ;;
   *) usage ;;
 esac

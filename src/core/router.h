@@ -10,7 +10,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 
 #include "core/request_handler.h"
 #include "core/types.h"
@@ -52,14 +51,7 @@ class OpenAiRouter {
   // both plain string content and OpenAI content-part arrays (each part's
   // "text" field counts); non-string scalar content is ignored. A value
   // that is not an array of messages estimates to the 1-token floor.
-  // The three overloads agree by construction (one rule set) and by test
-  // (tests/property pins DOM == in-situ == SAX on generated payloads).
-  static std::int64_t EstimatePromptTokens(const json::Value& messages);
   static std::int64_t EstimatePromptTokens(json::Document::View messages);
-  // Streaming form: estimates straight off the messages-array JSON text
-  // through the SAX parser, no tree of any kind. Malformed JSON estimates
-  // to the 1-token floor (the router validates before estimating).
-  static std::int64_t EstimatePromptTokensText(std::string_view messages_json);
 
   // Emit auth/validate/enqueue spans and outcome counters (nullable).
   void BindObservability(obs::Observability* obs) {

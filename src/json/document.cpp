@@ -1,6 +1,5 @@
 #include "json/document.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "json/text.h"
@@ -23,8 +22,7 @@ double Document::View::AsDouble() const {
 
 std::int64_t Document::View::AsInt() const {
   SWAP_CHECK_MSG(is_number(), "json: not a number");
-  return node().kind == Kind::kInt ? node().i
-                                   : static_cast<std::int64_t>(node().d);
+  return node().kind == Kind::kInt ? node().i : SaturatingInt64(node().d);
 }
 
 std::string_view Document::View::AsString() const {
@@ -333,19 +331,17 @@ Status Document::ParseInSitu(char* data, std::size_t size) {
 }
 
 // ---------------------------------------------------------------------------
-// DOM bridge + deterministic serialization
+// DOM bridge
 // ---------------------------------------------------------------------------
 
 namespace {
 
-Value NodeToValue(const Document& doc,
-                  Document::View v) {  // NOLINT(misc-no-recursion)
-  using Kind = Document::Kind;
+Value NodeToValue(Document::View v) {  // NOLINT(misc-no-recursion)
   if (v.is_array()) {
     Array arr;
     arr.reserve(v.size());
     for (Document::View c = v.FirstChild(); c; c = c.NextSibling()) {
-      arr.push_back(NodeToValue(doc, c));
+      arr.push_back(NodeToValue(c));
     }
     return Value(std::move(arr));
   }
@@ -354,77 +350,21 @@ Value NodeToValue(const Document& doc,
     // the DOM parser's behavior on duplicate keys.
     Object obj;
     for (Document::View c = v.FirstChild(); c; c = c.NextSibling()) {
-      obj.insert_or_assign(std::string(c.key()), NodeToValue(doc, c));
+      obj.insert_or_assign(std::string(c.key()), NodeToValue(c));
     }
     return Value(std::move(obj));
   }
   if (v.is_string()) return Value(std::string(v.AsString()));
   if (v.is_number()) return Value(v.AsDouble());
   if (v.is_bool()) return Value(v.AsBool());
-  (void)Kind::kNull;
   return Value(nullptr);
-}
-
-void DumpNode(Document::View v, std::string& out) {  // NOLINT(misc-no-recursion)
-  if (v.is_null()) {
-    out += "null";
-  } else if (v.is_bool()) {
-    out += v.AsBool() ? "true" : "false";
-  } else if (v.is_number()) {
-    AppendJsonNumber(v.AsDouble(), out);
-  } else if (v.is_string()) {
-    AppendJsonEscaped(v.AsString(), out);
-  } else if (v.is_array()) {
-    out += '[';
-    bool first = true;
-    for (Document::View c = v.FirstChild(); c; c = c.NextSibling()) {
-      if (!first) out += ',';
-      first = false;
-      DumpNode(c, out);
-    }
-    out += ']';
-  } else {
-    // Members are stored in insertion order but serialized sorted by key —
-    // the same order std::map gives the DOM — so equal documents dump to
-    // identical bytes. Duplicate keys: last wins, as with insert_or_assign.
-    std::vector<Document::View> members;
-    members.reserve(v.size());
-    for (Document::View c = v.FirstChild(); c; c = c.NextSibling()) {
-      members.push_back(c);
-    }
-    std::stable_sort(
-        members.begin(), members.end(),
-        [](const Document::View& a, const Document::View& b) {
-          return a.key() < b.key();
-        });
-    out += '{';
-    bool first = true;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (i + 1 < members.size() && members[i].key() == members[i + 1].key()) {
-        continue;  // a later duplicate overrides this member
-      }
-      if (!first) out += ',';
-      first = false;
-      AppendJsonEscaped(members[i].key(), out);
-      out += ':';
-      DumpNode(members[i], out);
-    }
-    out += '}';
-  }
 }
 
 }  // namespace
 
 Value Document::ToValue() const {
   SWAP_CHECK_MSG(!empty(), "json: ToValue on empty Document");
-  return NodeToValue(*this, root());
-}
-
-std::string Document::Dump() const {
-  SWAP_CHECK_MSG(!empty(), "json: Dump on empty Document");
-  std::string out;
-  DumpNode(root(), out);
-  return out;
+  return NodeToValue(root());
 }
 
 }  // namespace swapserve::json

@@ -10,14 +10,13 @@
 // for model names, roles, and prompt text) are pure borrows.
 //
 // Object members keep *insertion order* in the arena (iteration is
-// first-to-last as written), but Dump() serializes members sorted by key,
-// byte-identical to the DOM Value::Dump() of the same document — the
-// deterministic-serialization contract the golden traces rely on.
+// first-to-last as written). There is no serializer here: ToValue() bridges
+// to the DOM, whose Dump() is the one deterministic serialization.
 //
 // Number fast path: integer tokens up to 18 digits decode without strtod
 // and remember integrality exactly. Dialect (strict RFC 8259 numbers,
 // full surrogate-pair escapes, 256-level nesting cap) is shared with the
-// DOM and SAX parsers via text.h.
+// DOM parser via text.h.
 //
 // Lifetime: the Document borrows from the buffer passed to ParseInSitu.
 // The buffer must outlive the Document's views; reusing one Document +
@@ -88,7 +87,8 @@ class Document {
     bool is_array() const { return valid() && node().kind == Kind::kArray; }
     bool is_object() const { return valid() && node().kind == Kind::kObject; }
 
-    // Typed accessors; SWAP_CHECK on type mismatch (mirrors Value).
+    // Typed accessors; SWAP_CHECK on type mismatch (mirrors Value). AsInt
+    // saturates numbers beyond the int64 range to its limits.
     bool AsBool() const;
     double AsDouble() const;
     std::int64_t AsInt() const;
@@ -143,10 +143,6 @@ class Document {
   // DOM and in-situ parses agree; integer nodes become integral doubles,
   // matching what the DOM parser produced from the same token).
   Value ToValue() const;
-
-  // Compact serialization, byte-identical to ToValue().Dump(): object
-  // members sort by key, integral numbers print without a decimal point.
-  std::string Dump() const;
 
  private:
   friend class View;

@@ -7,10 +7,10 @@
 // output, and the number grammar is strict (leading zeros, bare dots, and
 // overflow-to-infinity are parse errors).
 //
-// This is the correctness-first, allocation-per-node DOM. The request hot
-// path uses the zero-copy siblings that share its dialect exactly:
-// document.h (in-situ Document borrowing slices from a caller-owned
-// buffer) and stream_parser.h (SAX callbacks with incremental feed).
+// This is the correctness-first, allocation-per-node DOM: it reads config
+// files and is the reference the test battery compares the request parser
+// against. The request hot path uses the zero-copy in-situ Document
+// (document.h), which shares this dialect exactly.
 
 #pragma once
 
@@ -57,7 +57,8 @@ class Value {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  // Typed accessors; SWAP_CHECK on type mismatch.
+  // Typed accessors; SWAP_CHECK on type mismatch. AsInt saturates numbers
+  // beyond the int64 range to its limits.
   bool AsBool() const;
   double AsDouble() const;
   std::int64_t AsInt() const;

@@ -1,11 +1,11 @@
-// Shared lexical helpers for the three JSON parsers (DOM in json.h, the
-// in-situ Document in document.h, the SAX StreamParser in stream_parser.h).
+// Shared lexical helpers for the two JSON parsers (the DOM in json.h, the
+// in-situ Document in document.h).
 //
-// All three speak exactly the same dialect — RFC 8259 with the full \u
-// escape set including surrogate pairs beyond the BMP — because they share
-// these routines: the strict number grammar, the hex/UTF-8 codecs, and the
-// surrogate-pair combination rules. A behavior change here changes every
-// parser at once, which is what the conformance suite (tests/json) pins.
+// Both speak exactly the same dialect — RFC 8259 with the full \u escape
+// set including surrogate pairs beyond the BMP — because they share these
+// routines: the strict number grammar, the hex/UTF-8 codecs, and the
+// surrogate-pair combination rules. A behavior change here changes both
+// parsers at once, which is what the conformance suite (tests/json) pins.
 
 #pragma once
 
@@ -18,7 +18,7 @@
 
 namespace swapserve::json {
 
-// Nesting bound shared by every parser: deeper documents are rejected, not
+// Nesting bound shared by both parsers: deeper documents are rejected, not
 // recursed into (stack safety under fuzzing).
 inline constexpr int kMaxParseDepth = 256;
 
@@ -171,9 +171,20 @@ inline NumberToken DecodeNumber(std::string_view tok) {
   return out;
 }
 
-// Serialization helpers shared by Value::Dump and Document::Dump so the two
-// emit byte-identical output for equal documents (the golden traces compare
-// serialized bytes, not parsed values).
+// Saturating double -> int64 conversion for the integer accessors: values
+// beyond the int64 range clamp to its limits instead of being undefined
+// behavior (a request may carry "seed": 1e19). NaN, which no parse
+// produces, reads as 0.
+inline std::int64_t SaturatingInt64(double d) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (d >= kTwoTo63) return INT64_MAX;
+  if (d < -kTwoTo63) return INT64_MIN;
+  if (std::isnan(d)) return 0;
+  return static_cast<std::int64_t>(d);
+}
+
+// Serialization helpers for Value::Dump, the one serializer (the golden
+// traces compare serialized bytes, not parsed values).
 inline void AppendJsonEscaped(std::string_view s, std::string& out) {
   out += '"';
   for (char c : s) {

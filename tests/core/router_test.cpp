@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fixture.h"
+#include "json/document.h"
 
 namespace swapserve::core {
 namespace {
@@ -121,6 +122,35 @@ TEST(RouterTest, ValidationErrors) {
   });
 }
 
+// Numbers outside the int64 range saturate instead of wrapping, so an
+// absurd max_tokens is rejected by the range check on either side and an
+// oversized seed is simply clamped.
+TEST(RouterTest, OutOfRangeNumbersSaturate) {
+  TestBed bed;
+  RouterBed rb(bed);
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await rb.serve.Initialize()).ok());
+    OpenAiRouter& router = rb.serve.router();
+    const std::string prefix =
+        R"({"model":"llama-3.2-1b-fp16","messages":[{"role":"user","content":"x"}],)";
+    EXPECT_EQ(router.ChatCompletions(prefix + R"("max_tokens":1e300})")
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(router.ChatCompletions(prefix + R"("max_tokens":-1e300})")
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    Result<ResponseChannelPtr> seeded = router.ChatCompletions(
+        prefix + R"("max_tokens":4,"seed":1e19})");
+    EXPECT_TRUE(seeded.ok()) << seeded.status();
+    if (seeded.ok()) {
+      EXPECT_TRUE((co_await SwapServe::CollectResponse(*seeded)).ok);
+    }
+    rb.serve.Shutdown();
+  });
+}
+
 TEST(RouterTest, AuthTokenEnforced) {
   TestBed bed;
   GlobalConfig global;
@@ -138,6 +168,15 @@ TEST(RouterTest, AuthTokenEnforced) {
   });
 }
 
+// Estimates a DOM-built payload the way the router does: serialize, parse
+// in situ, and read the messages view.
+std::int64_t Estimate(const json::Value& messages) {
+  std::string buffer = messages.Dump();
+  json::Document doc;
+  EXPECT_TRUE(doc.ParseInSitu(buffer).ok()) << buffer;
+  return OpenAiRouter::EstimatePromptTokens(doc.root());
+}
+
 TEST(RouterTest, TokenEstimation) {
   json::Value messages = json::Value::MakeArray();
   json::Value msg = json::Value::MakeObject();
@@ -145,20 +184,19 @@ TEST(RouterTest, TokenEstimation) {
   msg["content"] = json::Value(std::string(400, 'x'));
   messages.PushBack(std::move(msg));
   // 400 chars / 4 + 1 message * 4 = 104.
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(messages), 104);
+  EXPECT_EQ(Estimate(messages), 104);
 }
 
 TEST(RouterTest, TokenEstimationMinimumOne) {
   json::Value messages = json::Value::MakeArray();
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(messages), 1);
+  EXPECT_EQ(Estimate(messages), 1);
 }
 
 TEST(RouterTest, TokenEstimationNonArrayFloorsToOne) {
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(json::Value("a string")), 1);
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(json::Value(7.0)), 1);
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(json::Value::MakeObject()),
-            1);
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(json::Value()), 1);
+  EXPECT_EQ(Estimate(json::Value("a string")), 1);
+  EXPECT_EQ(Estimate(json::Value(7.0)), 1);
+  EXPECT_EQ(Estimate(json::Value::MakeObject()), 1);
+  EXPECT_EQ(Estimate(json::Value()), 1);
 }
 
 TEST(RouterTest, TokenEstimationIgnoresNonStringContent) {
@@ -173,7 +211,7 @@ TEST(RouterTest, TokenEstimationIgnoresNonStringContent) {
   // Non-message entries in the array don't count toward overhead.
   messages.PushBack(json::Value("stray"));
   // 0 chars, 2 well-formed messages * 4 overhead.
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(messages), 8);
+  EXPECT_EQ(Estimate(messages), 8);
 }
 
 TEST(RouterTest, TokenEstimationSumsContentParts) {
@@ -196,7 +234,7 @@ TEST(RouterTest, TokenEstimationSumsContentParts) {
   json::Value messages = json::Value::MakeArray();
   messages.PushBack(std::move(msg));
   // 400 chars across text parts / 4 + 1 message * 4 = 104.
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(messages), 104);
+  EXPECT_EQ(Estimate(messages), 104);
 }
 
 TEST(RouterTest, ListModelsReflectsState) {

@@ -1,13 +1,11 @@
 // JSON conformance battery (DESIGN.md §16): runs the checked-in corpus in
-// tests/json/data/ through all three parsers — recursive DOM (json::Parse),
-// in-situ Document::ParseInSitu, and the incremental SAX StreamParser — and
+// tests/json/data/ through both parsers — the recursive DOM reference
+// (json::Parse) and the in-situ Document::ParseInSitu the router uses — and
 // pins that they implement one dialect:
-//   y_*.json  every parser accepts; DOM and in-situ trees are equal and
-//             serialize byte-identically
-//   n_*.json  every parser rejects
-//   i_*.json  implementation-defined per RFC 8259; all parsers must agree
-// SAX verdicts are additionally checked under adversarial chunking (whole
-// buffer vs one byte per Feed), which must never change the outcome.
+//   y_*.json  both parsers accept; the trees are equal and serialize
+//             byte-identically
+//   n_*.json  both parsers reject
+//   i_*.json  implementation-defined per RFC 8259; the parsers must agree
 
 #include <algorithm>
 #include <filesystem>
@@ -20,8 +18,6 @@
 
 #include "json/document.h"
 #include "json/json.h"
-#include "json/stream_parser.h"
-#include "sax_recorder.h"
 
 namespace swapserve::json {
 namespace {
@@ -55,20 +51,6 @@ bool InSituAccepts(const std::string& text) {
   return doc.ParseInSitu(buffer).ok();
 }
 
-bool SaxAccepts(const std::string& text) {
-  testing::EventRecorder recorder;
-  return ParseSax(text, recorder).ok();
-}
-
-bool SaxAcceptsBytewise(const std::string& text) {
-  testing::EventRecorder recorder;
-  StreamParser parser(recorder);
-  for (char c : text) {
-    if (!parser.Feed(std::string_view(&c, 1)).ok()) return false;
-  }
-  return parser.Finish().ok();
-}
-
 TEST(JsonConformanceTest, CorpusIsPresent) {
   EXPECT_GE(CorpusFiles("y_").size(), 30u);
   EXPECT_GE(CorpusFiles("n_").size(), 30u);
@@ -81,8 +63,6 @@ TEST(JsonConformanceTest, AcceptCases) {
     const std::string name = path.filename().string();
     EXPECT_TRUE(DomAccepts(text)) << name;
     EXPECT_TRUE(InSituAccepts(text)) << name;
-    EXPECT_TRUE(SaxAccepts(text)) << name;
-    EXPECT_TRUE(SaxAcceptsBytewise(text)) << name;
   }
 }
 
@@ -92,8 +72,6 @@ TEST(JsonConformanceTest, RejectCases) {
     const std::string name = path.filename().string();
     EXPECT_FALSE(DomAccepts(text)) << name;
     EXPECT_FALSE(InSituAccepts(text)) << name;
-    EXPECT_FALSE(SaxAccepts(text)) << name;
-    EXPECT_FALSE(SaxAcceptsBytewise(text)) << name;
   }
 }
 
@@ -103,8 +81,6 @@ TEST(JsonConformanceTest, ImplementationDefinedCasesAgree) {
     const std::string name = path.filename().string();
     const bool dom = DomAccepts(text);
     EXPECT_EQ(InSituAccepts(text), dom) << name;
-    EXPECT_EQ(SaxAccepts(text), dom) << name;
-    EXPECT_EQ(SaxAcceptsBytewise(text), dom) << name;
   }
 }
 
@@ -119,51 +95,14 @@ TEST(JsonConformanceTest, DomAndInSituTreesMatchOnAcceptCases) {
     Document doc;
     ASSERT_TRUE(doc.ParseInSitu(buffer).ok()) << name;
 
-    // Same tree through conversion, and byte-identical serialization both
-    // via the converted DOM and via Document's own key-sorted Dump.
+    // Same tree through conversion, and byte-identical serialization.
     EXPECT_TRUE(doc.ToValue() == *dom) << name;
     EXPECT_EQ(doc.ToValue().Dump(), dom->Dump()) << name;
-    EXPECT_EQ(doc.Dump(), dom->Dump()) << name;
-  }
-}
-
-TEST(JsonConformanceTest, SaxTreeMatchesDomOnAcceptCases) {
-  for (const auto& path : CorpusFiles("y_")) {
-    const std::string text = ReadFile(path);
-    const std::string name = path.filename().string();
-    Result<Value> dom = Parse(text);
-    ASSERT_TRUE(dom.ok()) << name;
-
-    testing::SaxTreeBuilder builder;
-    ASSERT_TRUE(ParseSax(text, builder).ok()) << name;
-    EXPECT_TRUE(builder.root() == *dom) << name;
-  }
-}
-
-TEST(JsonConformanceTest, SaxEventsAreChunkingInvariant) {
-  for (const auto& path : CorpusFiles("y_")) {
-    const std::string text = ReadFile(path);
-    const std::string name = path.filename().string();
-
-    testing::EventRecorder whole;
-    ASSERT_TRUE(ParseSax(text, whole).ok()) << name;
-
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{3}}) {
-      testing::EventRecorder split;
-      StreamParser parser(split);
-      for (std::size_t i = 0; i < text.size(); i += chunk) {
-        ASSERT_TRUE(parser.Feed(std::string_view(text).substr(i, chunk)).ok())
-            << name;
-      }
-      ASSERT_TRUE(parser.Finish().ok()) << name;
-      EXPECT_EQ(split.events(), whole.events())
-          << name << " with chunk size " << chunk;
-    }
   }
 }
 
 // Depth margins beyond what the corpus files pin: the limit is "a value may
-// not start with more than 256 containers open", identically in all three.
+// not start with more than 256 containers open", identically in both.
 TEST(JsonConformanceTest, DepthLimitAgreesAcrossParsers) {
   const auto nested = [](int n) {
     return std::string(static_cast<std::size_t>(n), '[') +
@@ -174,7 +113,6 @@ TEST(JsonConformanceTest, DepthLimitAgreesAcrossParsers) {
     const bool dom = DomAccepts(text);
     EXPECT_EQ(dom, depth <= 257) << depth;
     EXPECT_EQ(InSituAccepts(text), dom) << depth;
-    EXPECT_EQ(SaxAccepts(text), dom) << depth;
   }
 }
 

@@ -1,13 +1,15 @@
 // Unit tests for the zero-copy in-situ parser (DESIGN.md §16). The
 // conformance suite covers dialect agreement; this file pins the Document's
 // own contracts: borrowing from the caller's buffer, in-place unescaping,
-// insertion-ordered iteration with key-sorted Dump, the integer fast path,
-// and arena/buffer reuse.
+// insertion-ordered iteration with a key-sorted DOM bridge, the integer
+// fast path, saturating AsInt, and arena/buffer reuse.
 
 #include "json/document.h"
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -87,16 +89,15 @@ TEST(DocumentTest, ObjectIterationKeepsInsertionOrder) {
   EXPECT_EQ(doc.root().size(), 3u);
 }
 
-TEST(DocumentTest, DumpSortsKeysAndMatchesDom) {
+TEST(DocumentTest, ToValueSortsKeysAndMatchesDom) {
   Document doc;
   std::string buf = R"({"z":1,"a":{"y":[1,2],"b":"x"},"m":3.5})";
   ASSERT_TRUE(doc.ParseInSitu(buf).ok());
   const std::string dom_dump = Parse(R"({"z":1,"a":{"y":[1,2],"b":"x"},"m":3.5})")->Dump();
-  EXPECT_EQ(doc.Dump(), dom_dump);
   EXPECT_EQ(doc.ToValue().Dump(), dom_dump);
 }
 
-TEST(DocumentTest, DuplicateKeysKeepEveryMemberButDumpLastWins) {
+TEST(DocumentTest, DuplicateKeysKeepEveryMemberButToValueLastWins) {
   Document doc;
   std::string buf = R"({"a":1,"a":2,"b":3})";
   ASSERT_TRUE(doc.ParseInSitu(buf).ok());
@@ -104,9 +105,9 @@ TEST(DocumentTest, DuplicateKeysKeepEveryMemberButDumpLastWins) {
   EXPECT_EQ(doc.root().size(), 3u);
   // ...Find sees the first...
   EXPECT_EQ(doc.root().Find("a").AsInt(), 1);
-  // ...and serialization collapses to last-wins, matching the DOM.
-  EXPECT_EQ(doc.Dump(), Parse(buf)->Dump());
-  EXPECT_EQ(doc.Dump(), R"({"a":2,"b":3})");
+  // ...and the DOM bridge collapses to last-wins, matching the DOM parser.
+  EXPECT_EQ(doc.ToValue().Dump(), Parse(buf)->Dump());
+  EXPECT_EQ(doc.ToValue().Dump(), R"({"a":2,"b":3})");
 }
 
 TEST(DocumentTest, TypedGettersFallBack) {
@@ -137,6 +138,19 @@ TEST(DocumentTest, IntegerFastPathBoundaries) {
   ASSERT_TRUE(doc.ParseInSitu(buf).ok());
   EXPECT_TRUE(doc.root().is_number());
   EXPECT_FALSE(doc.root().is_int());
+}
+
+TEST(DocumentTest, AsIntSaturatesOutOfRangeNumbers) {
+  Document doc;
+  // 2^63 - 1 rounds to 2^63 as a double: one past the range, so it clamps.
+  std::string buf = "[1e300,-1e300,1e19,-1e19,9223372036854775807,-2.9]";
+  ASSERT_TRUE(doc.ParseInSitu(buf).ok());
+  std::vector<std::int64_t> got;
+  for (Document::View v = doc.root().FirstChild(); v; v = v.NextSibling()) {
+    got.push_back(v.AsInt());
+  }
+  EXPECT_EQ(got, (std::vector<std::int64_t>{INT64_MAX, INT64_MIN, INT64_MAX,
+                                            INT64_MIN, INT64_MAX, -2}));
 }
 
 TEST(DocumentTest, ErrorLeavesDocumentEmpty) {
@@ -177,7 +191,7 @@ TEST(DocumentTest, RawRangeOverloadMatchesStringOverload) {
   std::string buf2 = text;
   Document d2;
   ASSERT_TRUE(d2.ParseInSitu(buf2.data(), buf2.size()).ok());
-  EXPECT_EQ(d1.Dump(), d2.Dump());
+  EXPECT_TRUE(d1.ToValue() == d2.ToValue());
 }
 
 TEST(DocumentTest, DeepNestingLimitsMatchTheDialect) {

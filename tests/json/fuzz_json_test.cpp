@@ -2,7 +2,7 @@
 //
 // Two generators, both seeded and reproducible (no wall-clock entropy):
 //   1. Structure-aware: builds random valid documents from a grammar, dumps
-//      them, and requires all three parsers to accept and agree.
+//      them, and requires the DOM and in-situ parsers to accept and agree.
 //   2. Mutational: takes valid documents and corrupts bytes; parsers must
 //      never crash and must agree on the accept/reject verdict.
 // A checked-in crash-regression corpus pins inputs that historically broke
@@ -17,8 +17,6 @@
 
 #include "json/document.h"
 #include "json/json.h"
-#include "json/stream_parser.h"
-#include "sax_recorder.h"
 
 namespace swapserve::json {
 namespace {
@@ -114,23 +112,16 @@ void GenValue(Rng& rng, int depth, std::string& out) {
 struct Verdicts {
   bool dom = false;
   bool insitu = false;
-  bool sax = false;
 };
 
-// Runs all three parsers; the parse itself must not crash (asan/ubsan runs
-// of this binary are part of scripts/check_request_plane.sh).
+// Runs both parsers; the parse itself must not crash (asan/ubsan runs of
+// this binary are part of scripts/check_request_plane.sh).
 Verdicts ParseAll(const std::string& text) {
   Verdicts v;
   v.dom = Parse(text).ok();
-  {
-    std::string buffer = text;
-    Document doc;
-    v.insitu = doc.ParseInSitu(buffer).ok();
-  }
-  {
-    testing::EventRecorder recorder;
-    v.sax = ParseSax(text, recorder).ok();
-  }
+  std::string buffer = text;
+  Document doc;
+  v.insitu = doc.ParseInSitu(buffer).ok();
   return v;
 }
 
@@ -210,7 +201,6 @@ TEST(FuzzJsonTest, CrashCorpusParsersAgreeAndNeverCrash) {
   for (const std::string& input : CrashCorpus()) {
     const Verdicts v = ParseAll(input);
     EXPECT_EQ(v.insitu, v.dom) << "input: " << input;
-    EXPECT_EQ(v.sax, v.dom) << "input: " << input;
   }
 }
 
@@ -227,11 +217,7 @@ TEST(FuzzJsonTest, GeneratedDocumentsRoundTripThroughAllParsers) {
     Document doc;
     ASSERT_TRUE(doc.ParseInSitu(buffer).ok()) << "seed " << seed;
     EXPECT_TRUE(doc.ToValue() == *dom) << "seed " << seed;
-    EXPECT_EQ(doc.Dump(), dom->Dump()) << "seed " << seed;
-
-    testing::SaxTreeBuilder builder;
-    ASSERT_TRUE(ParseSax(text, builder).ok()) << "seed " << seed;
-    EXPECT_TRUE(builder.root() == *dom) << "seed " << seed;
+    EXPECT_EQ(doc.ToValue().Dump(), dom->Dump()) << "seed " << seed;
   }
 }
 
@@ -263,34 +249,6 @@ TEST(FuzzJsonTest, MutatedDocumentsNeverCrashAndParsersAgree) {
       if (mutated.empty()) continue;
       const Verdicts v = ParseAll(mutated);
       EXPECT_EQ(v.insitu, v.dom) << "seed " << seed << " round " << round;
-      EXPECT_EQ(v.sax, v.dom) << "seed " << seed << " round " << round;
-    }
-  }
-}
-
-TEST(FuzzJsonTest, ChunkedSaxMatchesWholeInputOnMutations) {
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    Rng rng(seed);
-    std::string text;
-    GenValue(rng, 0, text);
-    if (text.empty()) continue;
-    std::string mutated = text;
-    mutated[rng.Below(mutated.size())] = static_cast<char>(rng.Below(256));
-
-    testing::EventRecorder whole;
-    const bool whole_ok = ParseSax(mutated, whole).ok();
-
-    testing::EventRecorder split;
-    StreamParser parser(split);
-    bool split_ok = true;
-    for (std::size_t i = 0; i < mutated.size() && split_ok; ++i) {
-      split_ok = parser.Feed(std::string_view(&mutated[i], 1)).ok();
-    }
-    if (split_ok) split_ok = parser.Finish().ok();
-
-    EXPECT_EQ(split_ok, whole_ok) << "seed " << seed;
-    if (whole_ok) {
-      EXPECT_EQ(split.events(), whole.events()) << "seed " << seed;
     }
   }
 }

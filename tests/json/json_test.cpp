@@ -141,6 +141,17 @@ TEST(JsonValueTest, TypedGettersWithFallbacks) {
   EXPECT_FALSE(v->GetBool("s", false));
 }
 
+TEST(JsonValueTest, AsIntSaturatesOutOfRangeNumbers) {
+  EXPECT_EQ(Value(1e300).AsInt(), INT64_MAX);
+  EXPECT_EQ(Value(-1e300).AsInt(), INT64_MIN);
+  EXPECT_EQ(Value(1e19).AsInt(), INT64_MAX);
+  EXPECT_EQ(Value(-1e19).AsInt(), INT64_MIN);
+  EXPECT_EQ(Parse(R"({"seed": 1e19})")->GetInt("seed", 0), INT64_MAX);
+  // In range, including the exact lower limit -2^63, converts unchanged.
+  EXPECT_EQ(Value(-9223372036854775808.0).AsInt(), INT64_MIN);
+  EXPECT_EQ(Value(-2.9).AsInt(), -2);
+}
+
 TEST(JsonValueTest, FindOnNonObjectReturnsNull) {
   Value v(3.0);
   EXPECT_EQ(v.Find("a"), nullptr);

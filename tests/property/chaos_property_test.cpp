@@ -10,7 +10,7 @@
 //     breaker open — never half-admitted;
 //   - identical seeds give identical outcomes (chaos is reproducible).
 //
-// Labeled `chaos`: scripts/check_chaos.sh runs this binary under asan and
+// Labeled `chaos`: `scripts/check.sh chaos` runs this binary under asan and
 // tsan via `ctest -L chaos`.
 
 #include <algorithm>

@@ -11,7 +11,7 @@
 //   - identical seeds give identical fleets (per-node fault streams are
 //     derived deterministically from the cluster seed).
 //
-// Labeled `chaos` (runs with scripts/check_chaos.sh under asan/tsan) and
+// Labeled `chaos` (runs with `scripts/check.sh chaos` under asan/tsan) and
 // `cluster` (runs with `scripts/check.sh cluster`).
 
 #include <string>

@@ -15,7 +15,7 @@
 //   - identical seeds give identical fleets (per-node fault streams derive
 //     deterministically from the cluster seed).
 //
-// Labeled `chaos` (runs with scripts/check_chaos.sh under asan/tsan) and
+// Labeled `chaos` (runs with `scripts/check.sh chaos` under asan/tsan) and
 // `cluster` (runs with `scripts/check.sh cluster` and
 // `scripts/check.sh failover`).
 
