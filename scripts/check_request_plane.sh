@@ -15,7 +15,8 @@
 #
 # Usage: scripts/check_request_plane.sh [--skip-sanitizers] [--update]
 #   --update refreshes the baseline's "post" block (and speedups vs the
-#   recorded "pre") after an intentional perf change; commit the result.
+#   recorded "pre": each in-situ row is compared with the pre DOM time of
+#   the same row) after an intentional perf change; commit the result.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -66,11 +67,22 @@ baseline_path = sys.argv[2]
 baseline = json.load(open(baseline_path))
 baseline["post"] = {k: round(v, 4) for k, v in sorted(current.items())}
 pre = baseline.get("pre", {})
+
+
+def pre_key(k):
+    # The in-situ rows replaced the DOM path, so they have no "pre" of their
+    # own: their speedup is over the pre DOM time of the same row.
+    return k if k in pre else k.replace("_insitu_", "_dom_")
+
+
 baseline["speedup_vs_pre"] = {
-    k.replace("_us", ""): round(pre[k] / baseline["post"][k], 2)
-    for k in pre if k.endswith("_us") and baseline["post"].get(k)
+    k.replace("_us", ""): round(pre[pre_key(k)] / v, 2)
+    for k, v in baseline["post"].items()
+    if k.endswith("_us") and v and pre_key(k) in pre
 }
-json.dump(baseline, open(baseline_path, "w"), indent=2)
+with open(baseline_path, "w") as f:
+    json.dump(baseline, f, indent=2)
+    f.write("\n")
 print(f"request-plane: baseline {baseline_path} updated")
 PY
   exit 0

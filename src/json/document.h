@@ -64,7 +64,7 @@ class Document {
   };
 
   // A cursor over one node. Invalid views (missing members) are falsy and
-  // type-check as nothing; typed getters fall back like Value's.
+  // type-check as nothing; GetString falls back like Value's.
   class View {
    public:
     View() = default;
@@ -108,9 +108,6 @@ class Document {
     // Object helpers (first match in insertion order; objects with
     // duplicate keys keep every member, lookups see the first).
     View Find(std::string_view key) const;
-    bool GetBool(std::string_view key, bool fallback) const;
-    double GetDouble(std::string_view key, double fallback) const;
-    std::int64_t GetInt(std::string_view key, std::int64_t fallback) const;
     std::string_view GetString(std::string_view key,
                                std::string_view fallback) const;
 

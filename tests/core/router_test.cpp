@@ -2,6 +2,10 @@
 
 #include "core/router.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fixture.h"
@@ -149,6 +153,99 @@ TEST(RouterTest, OutOfRangeNumbersSaturate) {
     }
     rb.serve.Shutdown();
   });
+}
+
+const char* kFieldPrefix =
+    R"({"model":"llama-3.2-1b-fp16","messages":[{"role":"user","content":"x"}],)";
+
+// A field present with the wrong type is refused by name and counted as an
+// invalid request, instead of falling back to its default.
+TEST(RouterTest, WrongTypedFieldsRejectedByName) {
+  TestBed bed;
+  RouterBed rb(bed);
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await rb.serve.Initialize()).ok());
+    OpenAiRouter& router = rb.serve.router();
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"model", R"({"model":7,"messages":[{"role":"user"}]})"},
+        {"temperature", std::string(kFieldPrefix) + R"("temperature":"hot"})"},
+        {"max_tokens", std::string(kFieldPrefix) + R"("max_tokens":"8"})"},
+        {"seed", std::string(kFieldPrefix) + R"("seed":[1]})"},
+        {"stream", std::string(kFieldPrefix) + R"("stream":"yes"})"},
+        {"user", std::string(kFieldPrefix) + R"("user":5})"},
+        {"slo_class", std::string(kFieldPrefix) + R"("slo_class":true})"},
+    };
+    for (const auto& [field, body] : cases) {
+      const Status status = router.ChatCompletions(body).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << body;
+      EXPECT_EQ(status.message().rfind(field + " must be ", 0), 0u)
+          << status.message();
+    }
+    EXPECT_EQ(rb.serve.obs()
+                  .metrics
+                  .GetCounter("swapserve_router_requests_total",
+                              {{"outcome", "invalid"}})
+                  .value(),
+              static_cast<double>(cases.size()));
+    rb.serve.Shutdown();
+  });
+}
+
+// max_tokens and seed take integers: a fractional value is refused rather
+// than truncated, while an integral value written as a real is accepted.
+TEST(RouterTest, NonIntegralCountsRejected) {
+  TestBed bed;
+  RouterBed rb(bed);
+  ChatResult result;
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await rb.serve.Initialize()).ok());
+    OpenAiRouter& router = rb.serve.router();
+    const std::string prefix = kFieldPrefix;
+    const Status tokens =
+        router.ChatCompletions(prefix + R"("max_tokens":1.9})").status();
+    EXPECT_EQ(tokens.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(tokens.message(), "max_tokens must be an integer");
+    const Status seed =
+        router.ChatCompletions(prefix + R"("max_tokens":4,"seed":0.5})")
+            .status();
+    EXPECT_EQ(seed.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(seed.message(), "seed must be an integer");
+
+    Result<ResponseChannelPtr> ch =
+        router.ChatCompletions(prefix + R"("max_tokens":8.0,"seed":2e3})");
+    EXPECT_TRUE(ch.ok()) << ch.status();
+    if (ch.ok()) result = co_await SwapServe::CollectResponse(*ch);
+    rb.serve.Shutdown();
+  });
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.output_tokens, 8);
+}
+
+// null reads as absent: optional fields take their defaults and a null
+// model is a missing model.
+TEST(RouterTest, NullFieldsCountAsAbsent) {
+  TestBed bed;
+  RouterBed rb(bed);
+  ChatResult result;
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await rb.serve.Initialize()).ok());
+    OpenAiRouter& router = rb.serve.router();
+    const Status no_model =
+        router.ChatCompletions(R"({"model":null,"messages":[{"role":"user"}]})")
+            .status();
+    EXPECT_EQ(no_model.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(no_model.message(), "missing required field: model");
+
+    Result<ResponseChannelPtr> ch = router.ChatCompletions(
+        std::string(kFieldPrefix) +
+        R"("temperature":null,"max_tokens":null,"seed":null,)"
+        R"("stream":null,"user":null,"slo_class":null})");
+    EXPECT_TRUE(ch.ok()) << ch.status();
+    if (ch.ok()) result = co_await SwapServe::CollectResponse(*ch);
+    rb.serve.Shutdown();
+  });
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.output_tokens, 512);
 }
 
 TEST(RouterTest, AuthTokenEnforced) {

@@ -1,15 +1,20 @@
 // Deterministic fuzz battery for the JSON parsers (DESIGN.md §16).
 //
-// Two generators, both seeded and reproducible (no wall-clock entropy):
+// Three generators, all seeded and reproducible (no wall-clock entropy):
 //   1. Structure-aware: builds random valid documents from a grammar, dumps
 //      them, and requires the DOM and in-situ parsers to accept and agree.
 //   2. Mutational: takes valid documents and corrupts bytes; parsers must
 //      never crash and must agree on the accept/reject verdict.
+//   3. Long strings: request-shaped bodies with strings of up to ~2,000
+//      bytes (the grammar's strings are short and mostly escapes), clean and
+//      with control bytes dropped in; verdicts and documents must agree.
 // A checked-in crash-regression corpus pins inputs that historically broke
 // (or plausibly break) hand-rolled parsers. The same corpus feeds the
 // optional libFuzzer entry (fuzz_entry.cpp, -DSWAPSERVE_FUZZ=ON).
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -249,6 +254,93 @@ TEST(FuzzJsonTest, MutatedDocumentsNeverCrashAndParsersAgree) {
       if (mutated.empty()) continue;
       const Verdicts v = ParseAll(mutated);
       EXPECT_EQ(v.insitu, v.dom) << "seed " << seed << " round " << round;
+    }
+  }
+}
+
+// Appends a string literal of 0 to about `max_len` source bytes shaped like
+// prompt text: clean runs with escapes and raw UTF-8 between them, long
+// enough that most of it goes through the in-situ parser's 16-byte scan.
+void GenLongString(Rng& rng, std::uint64_t max_len, std::string& out) {
+  static const char* const kEscapes[] = {
+      "\\n", "\\t", "\\\"", "\\\\", "\\/", "\\r", "\\b", "\\f",
+      "\\u00e9", "\\u20ac", "\\ud83d\\ude00"};
+  static const char* const kUtf8[] = {"\xC3\xA9", "\xE2\x82\xAC",
+                                      "\xF0\x9F\x98\x80"};
+  const std::uint64_t target = rng.Below(max_len + 1);
+  out += '"';
+  const std::size_t start = out.size();
+  while (out.size() - start < target) {
+    const std::uint64_t pick = rng.Below(10);
+    if (pick < 6) {
+      const std::uint64_t room = target - (out.size() - start);
+      const std::uint64_t n = 1 + rng.Below(std::min<std::uint64_t>(64, room));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        char c = static_cast<char>(' ' + rng.Below(95));
+        if (c == '"' || c == '\\') c = ' ';
+        out += c;
+      }
+    } else if (pick < 9) {
+      out += kEscapes[rng.Below(std::size(kEscapes))];
+    } else {
+      out += kUtf8[rng.Below(std::size(kUtf8))];
+    }
+  }
+  out += '"';
+}
+
+// Both parsers must agree on the verdict and, when they accept, on the
+// document. The in-situ copy is an exactly sized heap buffer, so a
+// sanitizer build sees a read past its end.
+void ExpectParsersAgree(const std::string& text, const std::string& where) {
+  Result<Value> dom = Parse(text);
+  std::vector<char> buffer(text.begin(), text.end());
+  Document doc;
+  const Status insitu = doc.ParseInSitu(buffer.data(), buffer.size());
+  ASSERT_EQ(insitu.ok(), dom.ok()) << where << ": " << insitu;
+  if (dom.ok()) {
+    EXPECT_EQ(doc.ToValue().Dump(), dom->Dump()) << where;
+  }
+}
+
+TEST(FuzzJsonTest, LongStringsAgreeAcrossParsers) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed * 0xD1B54A32D192ED03ULL);
+    std::string text = "{\"model\":";
+    GenLongString(rng, 64, text);
+    text += ",\"messages\":[";
+    const std::uint64_t messages = 1 + rng.Below(3);
+    for (std::uint64_t i = 0; i < messages; ++i) {
+      if (i > 0) text += ',';
+      text += "{\"role\":\"user\",\"content\":";
+      GenLongString(rng, 2000, text);
+      text += '}';
+    }
+    text += "]}";
+    ASSERT_TRUE(Parse(text).ok()) << "seed " << seed;
+    ExpectParsersAgree(text, "seed " + std::to_string(seed));
+
+    // Mutated copies: control bytes dropped in or written over at random
+    // offsets, plus the odd arbitrary byte.
+    for (int round = 0; round < 8; ++round) {
+      std::string mutated = text;
+      const std::uint64_t edits = 1 + rng.Below(3);
+      for (std::uint64_t e = 0; e < edits; ++e) {
+        const std::uint64_t pos = rng.Below(mutated.size());
+        switch (rng.Below(3)) {
+          case 0:
+            mutated[pos] = static_cast<char>(rng.Below(0x20));
+            break;
+          case 1:
+            mutated.insert(pos, 1, static_cast<char>(rng.Below(0x20)));
+            break;
+          default:
+            mutated[pos] = static_cast<char>(rng.Below(256));
+            break;
+        }
+      }
+      ExpectParsersAgree(mutated, "seed " + std::to_string(seed) + " round " +
+                                      std::to_string(round));
     }
   }
 }
